@@ -4,6 +4,7 @@
 // the cache-miss case").
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstring>
 #include <vector>
 
@@ -146,6 +147,66 @@ void BM_ScoreComputation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScoreComputation);
+
+// The put rung (docs/PERF.md "Put invalidation"): n live 256 B entries,
+// dropped one at a time in scattered order, so at large n each drop
+// touches cold memory. Each iteration times a batch of drops; the misses
+// that re-cache the dropped entries, keeping the population at n, run
+// outside the timed region. `drop(slot)` returns the entries it dropped.
+template <class Drop>
+void run_put_rung(benchmark::State& state, Drop drop) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kBytes = 256;
+  constexpr std::size_t kBatch = 64;
+  Config cfg;
+  cfg.index_entries = 2 * n;
+  cfg.storage_bytes = 2 * n * kBytes;
+  CacheCore c(cfg);
+  std::vector<std::uint32_t> ids(n, kNoEntry);
+  const auto cache_slot = [&](std::uint64_t slot) {
+    const auto r = c.access({1, slot * kBytes}, kBytes);
+    if (r.inserted) {
+      c.mark_cached(r.entry);
+      ids[slot] = r.entry;
+    }
+  };
+  for (std::size_t slot = 0; slot < n; ++slot) cache_slot(slot);
+  std::uint64_t i = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t batch[kBatch];
+  for (auto _ : state) {
+    // Odd multiplier mod a power of two: distinct slots, scattered.
+    for (auto& slot : batch) slot = (i++ * 0x9e3779b1ull) & (n - 1);
+    const auto start = std::chrono::steady_clock::now();
+    for (const auto slot : batch) dropped += drop(c, slot * kBytes, ids[slot]);
+    state.SetIterationTime(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
+    for (const auto slot : batch) cache_slot(slot);
+  }
+  benchmark::DoNotOptimize(dropped);
+  const auto drops = static_cast<double>(kBatch * state.iterations());
+  state.counters["per_op"] =
+      benchmark::Counter(drops, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["dropped_per_op"] = static_cast<double>(dropped) / drops;
+  state.counters["live_entries"] = static_cast<double>(c.cached_entries());
+}
+
+// A 256 B put over one live entry: lookup plus drop.
+void BM_InvalidateOverlap(benchmark::State& state) {
+  run_put_rung(state, [](CacheCore& c, std::uint64_t disp, std::uint32_t) {
+    return c.invalidate_overlap(1, disp, 256);
+  });
+}
+BENCHMARK(BM_InvalidateOverlap)->UseManualTime()->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
+
+// The same drops by id, with no lookup: the memory-bound floor of the rung.
+void BM_DropById(benchmark::State& state) {
+  run_put_rung(state, [](CacheCore& c, std::uint64_t, std::uint32_t id) {
+    c.quarantine(id);
+    return std::size_t{1};
+  });
+}
+BENCHMARK(BM_DropById)->UseManualTime()->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
 
 }  // namespace
 

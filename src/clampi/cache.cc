@@ -5,6 +5,7 @@
 #include <cstring>
 #include <ctime>
 #include <limits>
+#include <map>
 
 #include "clampi/checksum.h"
 #include "util/align.h"
@@ -168,6 +169,34 @@ struct alignas(64) CacheCore::Shard {
   CuckooIndex<EntryOps>::Counters counter_base;  ///< banked across resize()
   mutable Stats stats;  ///< per-shard counters, folded by sync_hot_counters()
 
+  /// The live entries ordered by (target, disp), for invalidate_overlap
+  /// (cost and lifetime in cache.h). Off until the first put builds it,
+  /// so windows that never put keep the miss path free of tree updates.
+  struct AddrOrder {
+    bool operator()(const Key& a, const Key& b) const {
+      return a.target != b.target ? a.target < b.target : a.disp < b.disp;
+    }
+  };
+  std::map<Key, std::uint32_t, AddrOrder> by_addr;  ///< key -> local id
+  bool by_addr_on = false;
+  std::size_t max_span = 0;  ///< >= every footprint indexed since the build
+  std::vector<std::uint32_t> overlap;  ///< scratch: local ids a put drops
+
+  void build_addr_index() {
+    for (std::uint32_t local = 0; local < entries.size(); ++local) {
+      const Entry& e = entries[local];
+      if (!e.live) continue;
+      by_addr.emplace(e.key, local);
+      max_span = std::max(max_span, e.footprint);
+    }
+    by_addr_on = true;
+  }
+  void discard_addr_index() {
+    by_addr.clear();
+    by_addr_on = false;
+    max_span = 0;
+  }
+
   Shard(std::size_t index_slots, std::size_t storage_capacity, const Config& cfg,
         std::uint64_t index_seed, std::uint64_t rng_seed, std::uint32_t shard_bits)
       : locking(cfg.cache_shards > 1),
@@ -303,6 +332,9 @@ std::uint32_t CacheCore::alloc_entry(Shard& s, std::size_t shard_idx) {
 void CacheCore::release_entry(Shard& s, std::uint32_t id) {
   Entry& e = s.entries[local_of(id)];
   CLAMPI_ASSERT(!e.pending, "releasing a PENDING entry");
+  // A miss that failed never indexed its entry; erasing its (unique,
+  // absent) key is then a no-op.
+  if (s.by_addr_on) s.by_addr.erase(e.key);
   e.live = false;
   e.region = nullptr;
   s.free_ids.push_back(local_of(id));
@@ -407,18 +439,19 @@ bool CacheCore::insert_with_conflict_handling(Shard& s, std::uint32_t id,
 }
 
 CacheCore::Result CacheCore::access(Key key, std::size_t bytes, std::uint64_t dtype_sig,
-                                    PhaseBreakdown* phases) {
-  return access_impl(key, bytes, dtype_sig, phases, nullptr);
+                                    PhaseBreakdown* phases, std::size_t footprint) {
+  return access_impl(key, bytes, dtype_sig, phases, nullptr, footprint);
 }
 
 CacheCore::Result CacheCore::access_read(Key key, std::size_t bytes, std::byte* dest,
                                          std::uint64_t dtype_sig) {
-  return access_impl(key, bytes, dtype_sig, nullptr, dest);
+  return access_impl(key, bytes, dtype_sig, nullptr, dest, 0);
 }
 
 CacheCore::Result CacheCore::access_impl(Key key, std::size_t bytes,
                                          std::uint64_t dtype_sig,
-                                         PhaseBreakdown* phases, std::byte* dest) {
+                                         PhaseBreakdown* phases, std::byte* dest,
+                                         std::size_t footprint) {
   CLAMPI_REQUIRE(bytes > 0, "zero-byte get_c");
   PhaseTimer timer(phases != nullptr && cfg_.collect_phase_timings);
 
@@ -527,8 +560,13 @@ CacheCore::Result CacheCore::access_impl(Key key, std::size_t bytes,
     if (extended) {
       res.prev_bytes = e.size;
       res.prev_sig = e.sig;
+      res.prev_footprint = e.footprint;
       res.prev_pending = e.pending;
       e.size = bytes;
+      // The span only widens: the cached prefix may still hold bytes read
+      // through the previous layout.
+      e.footprint = std::max({e.footprint, bytes, footprint});
+      if (s.by_addr_on) s.max_span = std::max(s.max_span, e.footprint);
       if (!e.pending) {
         e.pending = true;  // tail arrives at flush
         ++s.pending;
@@ -548,10 +586,11 @@ CacheCore::Result CacheCore::access_impl(Key key, std::size_t bytes,
   // --- miss ---
   s.stats.bytes_from_network += bytes;
   const std::uint32_t id = alloc_entry(s, shard_idx);
+  footprint = std::max(bytes, footprint);
   // Born PENDING so the eviction rounds below never consider the entry a
   // victim while it has no region yet.
-  s.entries[local_of(id)] = Entry{key,     hkey, dtype_sig,        bytes,        nullptr,
-                                  s.g,     /*csum=*/0, /*stamp=*/0.0,
+  s.entries[local_of(id)] = Entry{key,     hkey,       dtype_sig,     bytes, footprint,
+                                  nullptr, s.g,        /*csum=*/0,    /*stamp=*/0.0,
                                   /*pending=*/true, /*live=*/true};
   ++s.pending;
   const auto discard_new_entry = [&] {
@@ -611,6 +650,10 @@ CacheCore::Result CacheCore::access_impl(Key key, std::size_t bytes,
   Entry& e = s.entries[local_of(id)];
   e.region = region;  // pending already set at creation
   ++s.live;
+  if (s.by_addr_on) {
+    s.by_addr.emplace(key, local_of(id));
+    s.max_span = std::max(s.max_span, footprint);
+  }
   res.entry = id;
   res.inserted = true;
   if (conflicted) {
@@ -718,7 +761,9 @@ void CacheCore::quarantine(std::uint32_t id) {
 }
 
 std::size_t CacheCore::invalidate_overlap(int target, std::uint64_t disp,
-                                          std::size_t bytes) {
+                                          std::size_t bytes,
+                                          std::vector<std::uint32_t>* dropped) {
+  const std::uint64_t end = disp + bytes;
   std::size_t total = 0;
   bool counted = false;
   // One shard at a time: overlapping keys can hash anywhere, but no two
@@ -730,16 +775,28 @@ std::size_t CacheCore::invalidate_overlap(int target, std::uint64_t disp,
       ++s.stats.cross_shard_ops;
       counted = true;
     }
-    std::size_t dropped = 0;
-    for (std::uint32_t local = 0; local < s.entries.size(); ++local) {
-      const Entry& e = s.entries[local];
-      if (!e.live || e.pending || e.key.target != target) continue;
-      if (e.key.disp >= disp + bytes || e.key.disp + e.size <= disp) continue;
-      evict_entry(s, encode_id(si, local));
-      ++dropped;
+    if (!s.by_addr_on) s.build_addr_index();
+    // An entry overlapping the put starts after disp - max_span and
+    // before its end.
+    const std::uint64_t lo = disp >= s.max_span ? disp - s.max_span + 1 : 0;
+    s.overlap.clear();
+    for (auto it = s.by_addr.lower_bound(Key{target, lo});
+         it != s.by_addr.end() && it->first.target == target && it->first.disp < end;
+         ++it) {
+      const Entry& e = s.entries[it->second];
+      if (e.pending || e.key.disp + e.footprint <= disp) continue;
+      s.overlap.push_back(it->second);
     }
-    s.stats.put_invalidations += dropped;
-    total += dropped;
+    // Drop in slot order, as a scan of the entry table would: the free
+    // list, storage placement and later eviction choices depend on it.
+    std::sort(s.overlap.begin(), s.overlap.end());
+    for (const std::uint32_t local : s.overlap) {
+      const std::uint32_t id = encode_id(si, local);
+      evict_entry(s, id);
+      if (dropped != nullptr) dropped->push_back(id);
+    }
+    s.stats.put_invalidations += s.overlap.size();
+    total += s.overlap.size();
   }
   return total;
 }
@@ -852,17 +909,19 @@ void CacheCore::drop_failed(std::uint32_t id) {
   drop_failed_locked(s, id);
 }
 
-void CacheCore::revert_extension(std::uint32_t id, std::size_t prev_bytes,
-                                 std::uint64_t prev_sig, bool prev_pending) {
-  Shard& s = shard_for(id);
+void CacheCore::revert_extension(const Result& res) {
+  CLAMPI_REQUIRE(res.extended, "revert_extension of an access that did not extend");
+  Shard& s = shard_for(res.entry);
   Shard::AccessLock lock(s);
-  Entry& e = s.entries[local_of(id)];
+  Entry& e = s.entries[local_of(res.entry)];
   CLAMPI_ASSERT(e.live, "revert_extension on a dead entry");
   CLAMPI_ASSERT(e.pending, "revert_extension on a non-pending entry");
-  CLAMPI_ASSERT(prev_bytes <= e.size, "revert_extension grows the entry");
-  e.size = prev_bytes;
-  e.sig = prev_sig;
-  if (!prev_pending) {
+  CLAMPI_ASSERT(res.prev_bytes <= e.size, "revert_extension grows the entry");
+  e.size = res.prev_bytes;
+  e.sig = res.prev_sig;
+  // max_span may stay wider than any entry now needs; it is only a bound.
+  e.footprint = res.prev_footprint;
+  if (!res.prev_pending) {
     e.pending = false;
     CLAMPI_ASSERT(s.pending > 0, "pending counter underflow");
     --s.pending;
@@ -906,6 +965,7 @@ void CacheCore::invalidate() {
     s.storage.reset();
     s.entries.clear();
     s.free_ids.clear();
+    s.discard_addr_index();
     s.live = 0;
     // s.g and s.ags deliberately persist: C_w.G counts gets over the
     // window's lifetime (Sec. III-A/III-D1).
@@ -1000,6 +1060,7 @@ void CacheCore::resize(std::size_t index_entries, std::size_t storage_bytes) {
     s.storage.rebuild(per_storage);
     s.entries.clear();
     s.free_ids.clear();
+    s.discard_addr_index();
     s.live = 0;
   }
   ++shards_[0]->stats.invalidations;
@@ -1130,6 +1191,7 @@ CacheCore::AuditReport CacheCore::audit() const {
         continue;
       }
       if (e.region->size < e.size) fail("entry payload larger than its region");
+      if (e.footprint < e.size) fail("entry footprint smaller than its payload");
       if (e.hkey != make_hkey(e.key)) fail("stale cached hash key");
       if (shard_of_hkey(e.hkey) != si) fail("entry routed to the wrong shard");
       // The entry must be findable through its shard's index.
@@ -1142,6 +1204,22 @@ CacheCore::AuditReport CacheCore::audit() const {
     rep.live += live_here;
     rep.pending += pending_here;
     if (live_here != s.live) fail("live-entry counter drift");
+    // Address index (when built): exactly the live entries, each filed
+    // under its own (target, disp) — together with the size check, a
+    // bijection — and max_span bounds every indexed footprint.
+    if (s.by_addr_on) {
+      if (s.by_addr.size() != live_here) fail("address index size != live entries");
+      for (const auto& [key, local] : s.by_addr) {
+        if (local >= s.entries.size() || !s.entries[local].live) {
+          fail("address index holds a dead entry");
+          continue;
+        }
+        if (!(s.entries[local].key == key)) fail("address index key != entry key");
+        if (s.entries[local].footprint > s.max_span) {
+          fail("address index max_span below an entry footprint");
+        }
+      }
+    }
     if (pending_here != s.pending) fail("pending-entry counter drift");
     if (s.storage.allocated_regions() != s.live) {
       fail("allocated regions != live entries (leak or double-free)");

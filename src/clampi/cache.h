@@ -78,6 +78,7 @@ class CacheCore {
     // against it (found by chaos_fuzz seed 89).
     std::size_t prev_bytes = 0;
     std::uint64_t prev_sig = 0;
+    std::size_t prev_footprint = 0;
     bool prev_pending = false;
     /// A sampled checksum verification caught a corrupt entry: it was
     /// quarantined and the access fell through to the miss path, so the
@@ -91,10 +92,14 @@ class CacheCore {
   CacheCore& operator=(const CacheCore&) = delete;
 
   /// Process a get_c of `bytes` payload at `key`. `dtype_sig` is recorded
-  /// for layout-compatibility diagnostics. May evict entries. Takes
-  /// exactly one shard lock.
+  /// for layout-compatibility diagnostics. `footprint` is the target byte
+  /// range [key.disp, key.disp + footprint) the payload is read from: a
+  /// non-contiguous typed get packs fewer bytes than it spans, and put
+  /// invalidation must see the span. Values up to `bytes` (the default 0
+  /// included) mean contiguous. May evict entries. Takes exactly one
+  /// shard lock.
   Result access(Key key, std::size_t bytes, std::uint64_t dtype_sig = 0,
-                PhaseBreakdown* phases = nullptr);
+                PhaseBreakdown* phases = nullptr, std::size_t footprint = 0);
 
   /// access() that additionally copies the servable cached prefix
   /// (`Result::serve_now`, `Result::cached_bytes` bytes) into `dest`
@@ -141,27 +146,41 @@ class CacheCore {
   /// Walks the shards one at a time (never holds two locks).
   std::size_t drop_pending(int target);
 
-  /// Undo a partial-hit extension whose tail fetch failed: restore the
-  /// pre-extension size/signature/pending state recorded in Result. The
-  /// entry must NOT be dropped in that situation — earlier gets in the
-  /// epoch may hold pending copy-ins/outs against it, and its cached
-  /// prefix is still valid (relocation preserves it).
-  void revert_extension(std::uint32_t id, std::size_t prev_bytes,
-                        std::uint64_t prev_sig, bool prev_pending);
+  /// Undo the partial-hit extension `res` reported (`res.extended`) after
+  /// its tail fetch failed: restore the pre-extension size, signature,
+  /// footprint and pending state recorded in it. The entry must NOT be
+  /// dropped in that situation — earlier gets in the epoch may hold
+  /// pending copy-ins/outs against it, and its cached prefix is still
+  /// valid (relocation preserves it).
+  void revert_extension(const Result& res);
 
   /// Quarantine a CACHED entry whose bytes are corrupt or stale: dropped
   /// through the eviction path so the key misses (and re-fetches) next
   /// time. Callers bump the cause-specific counters.
   void quarantine(std::uint32_t id);
 
-  /// Drop every CACHED entry overlapping [disp, disp+bytes) at `target`
-  /// (a put landed there: the cached bytes are now stale). PENDING
-  /// entries are skipped — a get and a conflicting put in one epoch is
-  /// already a data race under the MPI-3 epoch model. Returns the number
-  /// dropped (also accumulated in Stats::put_invalidations). O(entries);
-  /// walks the shards one at a time (overlapping keys can live anywhere:
-  /// the shard is picked by the key fingerprint, not the address range).
-  std::size_t invalidate_overlap(int target, std::uint64_t disp, std::size_t bytes);
+  /// Drop every CACHED entry whose footprint overlaps [disp, disp+bytes)
+  /// at `target` (a put landed there: the cached bytes are now stale).
+  /// PENDING entries are skipped — a get and a conflicting put in one
+  /// epoch is already a data race under the MPI-3 epoch model. Returns
+  /// the number dropped (also accumulated in Stats::put_invalidations);
+  /// `dropped`, if given, receives their ids in drop order (ascending
+  /// shard, then ascending slot).
+  ///
+  /// Cost: each shard keeps an index of its live entries ordered by
+  /// (target, disp), so a call visits only the entries that start within
+  /// one `max_span` (the largest footprint the shard has held since the
+  /// index was built) before the put's end: O(log n + k) per shard for
+  /// fixed-size entries, independent of the cache size. The index exists
+  /// only once needed: the first call after construction, invalidate() or
+  /// resize() builds it from the entry table in O(n log n), and from then
+  /// on misses, extensions and drops keep it current until the next
+  /// invalidate()/resize() discards it. Windows that never put pay one
+  /// predictable branch per miss and per drop. Walks the shards one at a
+  /// time (overlapping keys can live anywhere: the shard is picked by the
+  /// key fingerprint, not the address range).
+  std::size_t invalidate_overlap(int target, std::uint64_t disp, std::size_t bytes,
+                                 std::vector<std::uint32_t>* dropped = nullptr);
 
   /// One incremental scrub slice (docs/INTEGRITY.md): re-verifies the
   /// checksum and a per-entry slice of the validate() invariants for up
@@ -245,13 +264,15 @@ class CacheCore {
 
   /// Full cross-structure audit: everything validate() checks, plus the
   /// free-list (every free id dead and unique, live + free == slots),
-  /// counter consistency, and the per-shard partition invariants (each
+  /// counter consistency, the per-shard partition invariants (each
   /// shard holds exactly 1/cache_shards of I_w and S_w; every live entry
-  /// routes to the shard that holds it). O(N); acquires every shard lock
-  /// in ascending order. The chaos oracle runs this at every epoch
-  /// boundary (docs/CHAOS.md); `detail` names the shard and the first
-  /// violated invariant so a shrunk repro points straight at the
-  /// breakage.
+  /// routes to the shard that holds it) and, where it is built, the
+  /// address index of invalidate_overlap (exactly the live entries, each
+  /// under its own (target, disp), max_span covering every footprint).
+  /// O(N); acquires every shard lock in ascending order. The chaos
+  /// oracle runs this at every epoch boundary (docs/CHAOS.md); `detail`
+  /// names the shard and the first violated invariant so a shrunk repro
+  /// points straight at the breakage.
   struct AuditReport {
     bool ok = true;
     std::string detail;         ///< "shard K: <invariant>" ("" if ok)
@@ -271,6 +292,9 @@ class CacheCore {
     std::uint64_t hkey = 0;
     std::uint64_t sig = 0;
     std::size_t size = 0;  ///< payload bytes (region may be larger: alignment)
+    /// Target bytes [key.disp, key.disp + footprint) the payload was read
+    /// from; >= size, and > size only for non-contiguous typed gets.
+    std::size_t footprint = 0;
     Storage::Region* region = nullptr;
     std::uint64_t last = 0;  ///< index in C_w.G of the last matching get_c
     std::uint64_t csum = 0;  ///< XXH64 of the payload, set at mark_cached
@@ -311,7 +335,7 @@ class CacheCore {
   }
 
   Result access_impl(Key key, std::size_t bytes, std::uint64_t dtype_sig,
-                     PhaseBreakdown* phases, std::byte* dest);
+                     PhaseBreakdown* phases, std::byte* dest, std::size_t footprint);
 
   // Per-shard machinery; callers hold the shard's lock.
   std::uint32_t alloc_entry(Shard& s, std::size_t shard_idx);

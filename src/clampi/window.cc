@@ -443,8 +443,7 @@ void CachedWindow::rollback_failed(const CacheCore::Result& res,
     // epoch may already hold copy-in/copy-out registrations against it,
     // so dropping it would leave them dangling (chaos_fuzz seed 89).
     // Shrink it back instead — its previously cached prefix is intact.
-    core_->revert_extension(res.entry, res.prev_bytes, res.prev_sig,
-                            res.prev_pending);
+    core_->revert_extension(res);
   }
 }
 
@@ -562,7 +561,8 @@ void CachedWindow::get(void* origin, const dt::Datatype& dtype, std::size_t coun
   if (try_degraded_read(origin, bytes, target, disp, sig)) return;
   const CacheCore::Result res =
       core_->access(Key{target, disp}, bytes, sig,
-                    cfg_.collect_phase_timings ? &last_phases_ : nullptr);
+                    cfg_.collect_phase_timings ? &last_phases_ : nullptr,
+                    dtype.footprint(count));
   if (res.healed) [[unlikely]] note_heal(target, disp, bytes);
   last_access_ = res.type;
   const std::size_t pending_mark = pending_.size();

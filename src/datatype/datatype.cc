@@ -126,6 +126,13 @@ std::vector<Block> Datatype::flatten(std::size_t count) const {
   return normalize(std::move(out));
 }
 
+std::size_t Datatype::footprint(std::size_t count) const {
+  if (count == 0 || blocks_->empty()) return 0;
+  // Blocks are offset-sorted and disjoint, so the last one ends highest.
+  const Block& last = blocks_->back();
+  return (count - 1) * extent_ + last.offset + last.size;
+}
+
 void Datatype::pack(const void* src, std::size_t count, void* dst) const {
   const auto* in = static_cast<const std::byte*>(src);
   auto* out = static_cast<std::byte*>(dst);

@@ -67,6 +67,11 @@ class Datatype {
   /// `extent()` apart), merging blocks that touch.
   std::vector<Block> flatten(std::size_t count) const;
 
+  /// One past the last byte `count` elements touch, from the start of the
+  /// data buffer: the end of the last flattened block. A non-contiguous
+  /// layout touches a wider range than its size_of(count) packed bytes.
+  std::size_t footprint(std::size_t count) const;
+
   /// size() * count.
   std::size_t size_of(std::size_t count) const { return size_ * count; }
 

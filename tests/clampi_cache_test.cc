@@ -2,8 +2,11 @@
 // scoring and the weak-caching guarantees (Secs. III-B, III-D).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "clampi/cache.h"
@@ -359,5 +362,134 @@ TEST_P(CacheOracle, ServedBytesAlwaysCorrect) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheOracle, ::testing::Values(1u, 2u, 77u, 4242u));
+
+// Differential property test of put invalidation: random sequences of
+// misses, partial-hit extensions, reverted extensions, failed fetches,
+// abandoned epochs, invalidations, resizes and overlapping puts. Every put
+// must drop exactly the ids a brute-force scan of the entry table picks,
+// in the scan's order, and audit() (which checks the address index once
+// built) must pass after every step.
+class InvalidateOverlapDiff
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {};
+
+TEST_P(InvalidateOverlapDiff, MatchesReferenceScan) {
+  const auto [shards, seed] = GetParam();
+  Config cfg;
+  cfg.index_entries = 64;
+  cfg.storage_bytes = 8 * 1024;
+  cfg.cache_shards = shards;
+  cfg.mode = clampi::Mode::kAlwaysCache;
+  CacheCore c(cfg);
+  clampi::util::Xoshiro256 rng(seed);
+  std::uint32_t shard_bits = 0;
+  while ((std::size_t{1} << shard_bits) < shards) ++shard_bits;
+
+  // The test's own record of each key's footprint (the core does not
+  // expose it): set by a miss, widened by an extension, restored by a
+  // revert. Keys of dropped entries keep stale values until reinserted.
+  std::map<std::pair<std::int32_t, std::uint64_t>, std::size_t> footprint;
+  std::set<std::uint32_t> pending;
+  const auto flush = [&] {
+    for (const std::uint32_t id : pending) c.mark_cached(id);
+    pending.clear();
+  };
+  // The scan invalidate_overlap replaced: every slot of shard 0, then of
+  // shard 1, ... (ids carry the shard in their low bits).
+  const auto reference = [&](int t, std::uint64_t d, std::size_t n) {
+    std::vector<std::uint32_t> out;
+    const std::size_t slots = c.entry_slots() >> shard_bits;
+    for (std::uint32_t si = 0; si < shards; ++si) {
+      for (std::uint32_t local = 0; local < slots; ++local) {
+        const std::uint32_t id = (local << shard_bits) | si;
+        if (!c.entry_live(id) || c.entry_pending(id)) continue;
+        const Key k = c.entry_key(id);
+        if (k.target != t) continue;
+        if (k.disp < d + n && k.disp + footprint.at({k.target, k.disp}) > d) {
+          out.push_back(id);
+        }
+      }
+    }
+    return out;
+  };
+
+  std::size_t drops = 0;
+  std::size_t extensions = 0;
+  for (int step = 0; step < 5000; ++step) {
+    const std::uint64_t op = rng.bounded(100);
+    const auto target = static_cast<std::int32_t>(rng.bounded(3));
+    if (op < 55) {
+      const Key k{target, rng.bounded(32) * 32};
+      const std::size_t bytes = 1 + rng.bounded(200);
+      // Half the gets are contiguous; the rest span more than they pack.
+      const std::size_t fp = rng.bounded(2) == 0 ? 0 : bytes + rng.bounded(128);
+      const auto r = c.access(k, bytes, /*dtype_sig=*/0, nullptr, fp);
+      const std::size_t span = std::max(bytes, fp);
+      if (r.inserted) {
+        footprint[{k.target, k.disp}] = span;
+        if (rng.bounded(10) == 0) {
+          c.drop_failed(r.entry);  // the fetch failed
+        } else {
+          pending.insert(r.entry);
+        }
+      } else if (r.extended) {
+        ++extensions;
+        std::size_t& f = footprint.at({k.target, k.disp});
+        const std::size_t prev = f;
+        f = std::max(f, span);
+        pending.insert(r.entry);
+        if (rng.bounded(5) == 0) {  // the tail fetch failed
+          c.revert_extension(r);
+          f = prev;
+          if (!r.prev_pending) pending.erase(r.entry);
+        }
+      }
+    } else if (op < 80) {
+      const std::uint64_t d = rng.bounded(32 * 32 + 64);
+      const std::size_t n = rng.bounded(300);  // includes zero-byte puts
+      const auto expected = reference(target, d, n);
+      const auto before = c.stats().put_invalidations;
+      std::vector<std::uint32_t> got;
+      ASSERT_EQ(c.invalidate_overlap(target, d, n, &got), expected.size()) << "step " << step;
+      ASSERT_EQ(got, expected) << "step " << step;
+      ASSERT_EQ(c.stats().put_invalidations - before, expected.size());
+      drops += got.size();
+    } else if (op < 92) {
+      flush();
+    } else if (op < 97) {
+      // An abandoned epoch: its PENDING entries never get their data.
+      const int t = rng.bounded(2) == 0 ? -1 : target;
+      std::size_t expected = 0;
+      for (auto it = pending.begin(); it != pending.end();) {
+        if (t < 0 || c.entry_key(*it).target == t) {
+          it = pending.erase(it);
+          ++expected;
+        } else {
+          ++it;
+        }
+      }
+      ASSERT_EQ(c.drop_pending(t), expected);
+    } else if (op < 98) {
+      flush();
+      c.invalidate_retaining({target});
+    } else if (op < 99) {
+      flush();
+      c.invalidate();
+    } else {
+      flush();
+      c.resize(std::size_t{32} << rng.bounded(3), std::size_t{4096} << rng.bounded(3));
+    }
+    const auto rep = c.audit();
+    ASSERT_TRUE(rep.ok) << rep.detail << " after step " << step << " (op " << op << ")";
+  }
+  // The sequence must have exercised what it claims to.
+  EXPECT_GT(drops, 400u);
+  EXPECT_GT(extensions, 80u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, InvalidateOverlapDiff,
+                         ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{4}),
+                                            ::testing::Values(std::uint64_t{1},
+                                                              std::uint64_t{2},
+                                                              std::uint64_t{3})));
 
 }  // namespace

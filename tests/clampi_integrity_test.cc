@@ -10,6 +10,7 @@
 #include "clampi/breaker.h"
 #include "clampi/checksum.h"
 #include "clampi/clampi.h"
+#include "datatype/datatype.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "netmodel/model.h"
@@ -249,6 +250,45 @@ TEST(IntegrityWindow, PutInvalidatesAndNextGetSeesFreshBytes) {
       win.flush_all();
       EXPECT_NE(win.last_access(), AccessType::kHit);
       for (int j = 0; j < 64; ++j) ASSERT_EQ(buf[static_cast<std::size_t>(j)], 0xAB);
+      win.unlock_all();
+    }
+    p.barrier();
+    win.free_window();
+  });
+}
+
+TEST(IntegrityWindow, PutInsideTypedGetFootprintInvalidates) {
+  // A strided typed get packs 16 bytes but reads target bytes [0, 72):
+  // blocks [0, 8) and [64, 72). A put into the second block must drop the
+  // entry even though it lies past the packed size.
+  Engine e(engine_cfg(2));
+  e.run([](Process& p) {
+    void* base = nullptr;
+    auto win = CachedWindow::allocate(p, 4096, &base, cache_cfg(Mode::kAlwaysCache));
+    fill_pattern(base, 4096, p.rank());
+    p.barrier();
+    if (p.rank() == 0) {
+      const auto strided = dt::Datatype::vector(2, 8, 64, dt::Datatype::contiguous(1));
+      ASSERT_EQ(strided.size(), 16u);
+      win.lock_all();
+      std::vector<std::uint8_t> buf(16);
+      win.get(buf.data(), strided, 1, 1, 0);
+      win.flush_all();
+      ASSERT_EQ(win.last_access(), AccessType::kDirect);
+      win.get(buf.data(), strided, 1, 1, 0);
+      win.flush_all();
+      ASSERT_EQ(win.last_access(), AccessType::kHit);
+
+      std::vector<std::uint8_t> fresh(8, 0xAB);
+      win.put(fresh.data(), 8, 1, 64);
+      win.flush_all();
+      EXPECT_EQ(win.stats().put_invalidations, 1u);
+
+      win.get(buf.data(), strided, 1, 1, 0);
+      win.flush_all();
+      EXPECT_NE(win.last_access(), AccessType::kHit);
+      for (std::size_t j = 0; j < 8; ++j) ASSERT_EQ(buf[j], pattern_at(j, 1));
+      for (std::size_t j = 8; j < 16; ++j) ASSERT_EQ(buf[j], 0xAB) << "stale byte " << j;
       win.unlock_all();
     }
     p.barrier();

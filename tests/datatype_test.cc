@@ -149,6 +149,25 @@ TEST(Nested, VectorOfIndexed) {
   EXPECT_EQ(outer.blocks()[1], (Block{10, 2}));
 }
 
+TEST(Footprint, EndsAtTheLastFlattenedBlock) {
+  EXPECT_EQ(Datatype::vector(2, 8, 64, Datatype::contiguous(1)).footprint(1), 72u);
+  EXPECT_EQ(Datatype::contiguous(8).footprint(5), 40u);
+  EXPECT_EQ(Datatype::contiguous(8).footprint(0), 0u);
+  const Datatype types[] = {
+      Datatype::vector(3, 2, 5, Datatype::contiguous(4)),
+      Datatype::indexed({1}, {1}, Datatype::contiguous(2)),  // gap before the block
+      Datatype::structure({1, 2}, {0, 16}, {Datatype::contiguous(3),
+                                            Datatype::contiguous(2)}),
+  };
+  for (const Datatype& t : types) {
+    for (std::size_t count = 1; count <= 4; ++count) {
+      const auto blocks = t.flatten(count);
+      EXPECT_EQ(t.footprint(count), blocks.back().offset + blocks.back().size);
+      EXPECT_GE(t.footprint(count), t.size_of(count));
+    }
+  }
+}
+
 TEST(SizeOf, MatchesBlocksTimesCount) {
   auto t = Datatype::vector(3, 2, 5, Datatype::contiguous(4));
   EXPECT_EQ(t.size_of(7), 7u * t.size());
