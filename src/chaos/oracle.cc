@@ -63,9 +63,6 @@ constexpr MonoField kMonotone[] = {
     {&Stats::degraded_hits, "degraded_hits"},
     {&Stats::degraded_expired, "degraded_expired"},
     {&Stats::degraded_corrupt_drops, "degraded_corrupt_drops"},
-    {&Stats::shard_lock_acquisitions, "shard_lock_acquisitions"},
-    {&Stats::shard_lock_contended, "shard_lock_contended"},
-    {&Stats::cross_shard_ops, "cross_shard_ops"},
 };
 
 }  // namespace

@@ -8,40 +8,15 @@
 // communication: the CachedWindow wrapper drives it against the rmasim
 // runtime, and tests drive it directly.
 //
-// Concurrency (docs/PERF.md "Sharding"): the core is partitioned into
-// `Config::cache_shards` independent shards, each owning its own cuckoo
-// index, storage arena, entry table, eviction state and statistics block,
-// selected by the top bits of the key fingerprint. Every shard is guarded
-// by its own spin-then-park mutex; the access hot path takes exactly one
-// shard lock and cross-shard operations (invalidate / resize / audit)
-// acquire all locks in ascending shard order. (With a single shard no
-// locks exist at all — see below.) The concurrency contract:
-//
-//   - Accesses and entry operations on *distinct keys* are safe from any
-//     number of threads concurrently.
-//   - Operations on the *same key/entry* (access -> mark_cached ->
-//     entry_data, drop_failed, revert_extension, ...) must be externally
-//     serialized by the caller, exactly as the epoch protocol already
-//     does — a PENDING entry belongs to the epoch that created it.
-//   - stats() / mutable_stats() aggregate per-shard counters without
-//     taking any lock; call them only from quiescent points (epoch
-//     boundaries, after joining worker threads).
-//   - entry_data() returns a raw pointer whose bytes are only stable
-//     while the entry lives; concurrent readers that cannot guarantee
-//     that use access_read(), which copies the cached prefix out while
-//     the shard lock is still held.
-//
-// With cache_shards == 1 (the default) all of this collapses to the
-// pre-sharding single-partition cache, bit-exactly: same hash seeds, same
-// eviction sampling sequence, same statistics — and no locks at all, so
-// the single-threaded hot path pays nothing for the sharding machinery.
-// The flip side: a single-shard cache is single-threaded only; any
-// concurrent use requires cache_shards >= 2.
+// Contract: one CacheCore per window per rank, driven by that rank alone
+// (Sec. III: each process caches its own view of a window). The core is
+// single-threaded and takes no locks. An entry_data() pointer is valid
+// only until the next call that may evict, extend or drop entries.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -49,6 +24,7 @@
 #include "clampi/cuckoo_index.h"
 #include "clampi/stats.h"
 #include "clampi/storage.h"
+#include "util/rng.h"
 
 namespace clampi {
 
@@ -96,22 +72,11 @@ class CacheCore {
   /// range [key.disp, key.disp + footprint) the payload is read from: a
   /// non-contiguous typed get packs fewer bytes than it spans, and put
   /// invalidation must see the span. Values up to `bytes` (the default 0
-  /// included) mean contiguous. May evict entries. Takes exactly one
-  /// shard lock.
+  /// included) mean contiguous. May evict entries.
   Result access(Key key, std::size_t bytes, std::uint64_t dtype_sig = 0,
                 PhaseBreakdown* phases = nullptr, std::size_t footprint = 0);
 
-  /// access() that additionally copies the servable cached prefix
-  /// (`Result::serve_now`, `Result::cached_bytes` bytes) into `dest`
-  /// *while the shard lock is still held* — the copy cannot race a
-  /// concurrent capacity eviction relocating or freeing the region. This
-  /// is the hit path for multi-threaded callers (bench/micro_hotpath
-  /// --concurrent, tests/clampi_concurrent_test).
-  Result access_read(Key key, std::size_t bytes, std::byte* dest,
-                     std::uint64_t dtype_sig = 0);
-
   // --- entry accessors (valid until eviction/invalidation) ---
-  // Each takes the owning shard's lock; see the same-key contract above.
   std::byte* entry_data(std::uint32_t id);
   const std::byte* entry_data(std::uint32_t id) const;
   std::size_t entry_bytes(std::uint32_t id) const;
@@ -143,7 +108,6 @@ class CacheCore {
   /// drop_failed() every live PENDING entry for `target` (< 0 = all).
   /// Returns the number dropped. Used when an epoch is abandoned because
   /// its flush failed: those entries will never receive their data.
-  /// Walks the shards one at a time (never holds two locks).
   std::size_t drop_pending(int target);
 
   /// Undo the partial-hit extension `res` reported (`res.extended`) after
@@ -165,28 +129,25 @@ class CacheCore {
   /// epoch is already a data race under the MPI-3 epoch model. Returns
   /// the number dropped (also accumulated in Stats::put_invalidations);
   /// `dropped`, if given, receives their ids in drop order (ascending
-  /// shard, then ascending slot).
+  /// slot).
   ///
-  /// Cost: each shard keeps an index of its live entries ordered by
+  /// Cost: the core keeps an index of its live entries ordered by
   /// (target, disp), so a call visits only the entries that start within
-  /// one `max_span` (the largest footprint the shard has held since the
-  /// index was built) before the put's end: O(log n + k) per shard for
-  /// fixed-size entries, independent of the cache size. The index exists
+  /// one `max_span` (the largest footprint the cache has held since the
+  /// index was built) before the put's end: O(log n + k) for fixed-size
+  /// entries, independent of the cache size. The index exists
   /// only once needed: the first call after construction, invalidate() or
   /// resize() builds it from the entry table in O(n log n), and from then
   /// on misses, extensions and drops keep it current until the next
   /// invalidate()/resize() discards it. Windows that never put pay one
-  /// predictable branch per miss and per drop. Walks the shards one at a
-  /// time (overlapping keys can live anywhere: the shard is picked by the
-  /// key fingerprint, not the address range).
+  /// predictable branch per miss and per drop.
   std::size_t invalidate_overlap(int target, std::uint64_t disp, std::size_t bytes,
                                  std::vector<std::uint32_t>* dropped = nullptr);
 
   /// One incremental scrub slice (docs/INTEGRITY.md): re-verifies the
   /// checksum and a per-entry slice of the validate() invariants for up
   /// to `max_entries` live CACHED entries, resuming where the previous
-  /// slice stopped (the cursor spans shards: shard k's table follows
-  /// shard k-1's). Corrupt entries are quarantined. Amortized: the cost
+  /// slice stopped. Corrupt entries are quarantined. Amortized: the cost
   /// per epoch is bounded by the budget, never O(N) on the hot path.
   struct ScrubReport {
     std::size_t scanned = 0;
@@ -196,14 +157,16 @@ class CacheCore {
   ScrubReport scrub(std::size_t max_entries);
 
   /// Entry-table iteration surface for integrity sweeps (fault-injected
-  /// storage corruption walks live entries from the window layer). Slot
-  /// ids are shard-encoded, so entry_live() must gate every probe: ids
-  /// in [0, entry_slots()) cover all entries but include dead encodings.
-  std::size_t entry_slots() const;
-  bool entry_live(std::uint32_t id) const;
+  /// storage corruption walks live entries from the window layer). Ids
+  /// are slots of the entry table: [0, entry_slots()) covers every entry,
+  /// and entry_live() tells the live ones from freed slots.
+  std::size_t entry_slots() const { return entries_.size(); }
+  bool entry_live(std::uint32_t id) const {
+    return id < entries_.size() && entries_[id].live;
+  }
 
   /// Drop every entry. Must not be called with PENDING entries
-  /// outstanding (callers flush first). Holds all shard locks.
+  /// outstanding (callers flush first).
   void invalidate();
 
   /// Transparent-mode survivor retention (docs/FAULTS.md §6): like
@@ -215,15 +178,12 @@ class CacheCore {
   std::size_t invalidate_retaining(const std::vector<int>& keep_targets);
 
   /// Replace I_w and S_w with new sizes; implies an invalidation and is
-  /// counted as an adjustment (adaptive strategy, Sec. III-E1). The sizes
-  /// are rounded down to a multiple of cache_shards (identity when
-  /// cache_shards == 1).
+  /// counted as an adjustment (adaptive strategy, Sec. III-E1). An index
+  /// size of 0 is raised to 1.
   void resize(std::size_t index_entries, std::size_t storage_bytes);
 
-  /// Statistics with the per-shard counter blocks and the index/storage
-  /// hot-path counters folded in (those accumulate inside the shards and
-  /// their data structures; folding on read keeps the access hot path
-  /// free of extra stores and the aggregation path free of locks).
+  /// Statistics, with the CuckooIndex/Storage counters (which accumulate
+  /// inside those structures) copied in.
   const Stats& stats() const {
     sync_hot_counters();
     return stats_;
@@ -235,25 +195,15 @@ class CacheCore {
     return stats_;
   }
   const Config& config() const { return cfg_; }
-  /// Total I_w slots / S_w bytes across all shards (each shard owns an
-  /// equal 1/cache_shards partition; storage partitions are individually
-  /// rounded up to the cache line, so the byte total can slightly exceed
-  /// the configured size, exactly as the single arena always did).
+  /// I_w slots / S_w bytes (storage is rounded up to the cache line).
   std::size_t index_entries() const { return cfg_.index_entries; }
-  std::size_t storage_bytes() const;
-  std::size_t free_bytes() const;
-  std::size_t cached_entries() const;
-  std::size_t pending_entries() const;
-  std::uint64_t processed_gets() const;
-  /// Running average get size C_w.ags (Sec. III-C2); across shards, the
-  /// get-count-weighted mean of the per-shard averages.
-  double average_get_size() const;
-
-  /// Number of shards (== Config::cache_shards) and the shard a key's
-  /// fingerprint routes to — exposed for the shard-boundary tests and the
-  /// bench key-placement planner.
-  std::size_t shards() const { return shards_.size(); }
-  std::size_t shard_of(Key key) const;
+  std::size_t storage_bytes() const { return storage_.capacity(); }
+  std::size_t free_bytes() const { return storage_.free_bytes(); }
+  std::size_t cached_entries() const { return live_; }
+  std::size_t pending_entries() const { return pending_; }
+  std::uint64_t processed_gets() const { return g_; }
+  /// Running average get size C_w.ags (Sec. III-C2).
+  double average_get_size() const { return ags_; }
 
   /// Score R^i(x) of a live entry under the configured ScoreKind
   /// (exposed for the eviction-policy tests and the Fig. 10/11 benches).
@@ -264,18 +214,16 @@ class CacheCore {
 
   /// Full cross-structure audit: everything validate() checks, plus the
   /// free-list (every free id dead and unique, live + free == slots),
-  /// counter consistency, the per-shard partition invariants (each
-  /// shard holds exactly 1/cache_shards of I_w and S_w; every live entry
-  /// routes to the shard that holds it) and, where it is built, the
-  /// address index of invalidate_overlap (exactly the live entries, each
-  /// under its own (target, disp), max_span covering every footprint).
-  /// O(N); acquires every shard lock in ascending order. The chaos
-  /// oracle runs this at every epoch boundary (docs/CHAOS.md); `detail`
-  /// names the shard and the first violated invariant so a shrunk repro
-  /// points straight at the breakage.
+  /// counter consistency, the configured sizes (the index holds
+  /// index_entries slots, storage round_up(storage_bytes, line) bytes)
+  /// and, where it is built, the address index of invalidate_overlap
+  /// (exactly the live entries, each under its own (target, disp),
+  /// max_span covering every footprint). O(N). The chaos oracle runs this
+  /// at every epoch boundary (docs/CHAOS.md); `detail` names the first
+  /// violated invariant so a shrunk repro points straight at the breakage.
   struct AuditReport {
     bool ok = true;
-    std::string detail;         ///< "shard K: <invariant>" ("" if ok)
+    std::string detail;         ///< first violated invariant ("" if ok)
     std::size_t live = 0;       ///< live entries counted by the walk
     std::size_t pending = 0;    ///< PENDING entries counted by the walk
   };
@@ -303,79 +251,64 @@ class CacheCore {
     bool live = false;
   };
 
-  // One lock-striped partition of the cache; defined in cache.cc. Each
-  // owns an index over 1/N of the slots, a 1/N storage arena, its own
-  // entry table / free list / RNG / verify tick and a Stats block that
-  // sync_hot_counters() folds into stats_ on demand.
-  struct Shard;
-
-  // Per-shard index callbacks: the owning shard is implicit, so the probe
-  // loop decodes a (global) entry id with a single shift.
+  // Index callbacks: entry ids are slots of the entry table.
   struct EntryOps {
-    const Shard* shard = nullptr;
-    std::uint32_t shard_bits = 0;
-    std::uint64_t hash_key(std::uint32_t id) const;  // defined in cache.cc
+    const std::vector<Entry>* entries = nullptr;
+    std::uint64_t hash_key(std::uint32_t id) const { return (*entries)[id].hkey; }
+  };
+
+  /// Orders the address index of invalidate_overlap by (target, disp).
+  struct AddrOrder {
+    bool operator()(const Key& a, const Key& b) const {
+      return a.target != b.target ? a.target < b.target : a.disp < b.disp;
+    }
   };
 
   static std::uint64_t make_hkey(Key k);
-  /// Entry ids are shard-encoded: the low shard_bits_ carry the shard,
-  /// the bits above carry the slot in that shard's entry table. With one
-  /// shard the encoding is the identity, so ids (and everything derived
-  /// from them: index slot words, eviction order, replay traces) are
-  /// bit-exact with the pre-sharding cache.
-  std::uint32_t encode_id(std::size_t shard, std::uint32_t local) const {
-    return (local << shard_bits_) | static_cast<std::uint32_t>(shard);
-  }
-  Shard& shard_for(std::uint32_t id) const { return *shard_tab_[id & shard_mask_]; }
-  std::uint32_t local_of(std::uint32_t id) const { return id >> shard_bits_; }
-  std::size_t shard_of_hkey(std::uint64_t hkey) const {
-    // Top fingerprint bits: disjoint from whatever the index derives its
-    // slot/tag bits from, so the in-shard slot mapping is untouched.
-    return shard_bits_ == 0 ? 0 : static_cast<std::size_t>(hkey >> (64 - shard_bits_));
-  }
 
-  Result access_impl(Key key, std::size_t bytes, std::uint64_t dtype_sig,
-                     PhaseBreakdown* phases, std::byte* dest, std::size_t footprint);
-
-  // Per-shard machinery; callers hold the shard's lock.
-  std::uint32_t alloc_entry(Shard& s, std::size_t shard_idx);
-  void release_entry(Shard& s, std::uint32_t id);
-  void evict_entry(Shard& s, std::uint32_t id);
-  void drop_failed_locked(Shard& s, std::uint32_t id);
+  std::uint32_t alloc_entry();
+  void release_entry(std::uint32_t id);
+  void evict_entry(std::uint32_t id);
   /// One sampled victim-selection round (Sec. III-D); false if no
   /// evictable entry was found.
-  bool capacity_eviction_round(Shard& s);
-  /// Insert `id` into the shard's index, evicting from the insertion path
-  /// on conflicts. Returns false if it still cannot be placed.
-  bool insert_with_conflict_handling(Shard& s, std::uint32_t id, bool& conflicted);
-  double score_locked(const Shard& s, std::uint32_t id) const;
-  /// Fold the per-shard Stats blocks and the live CuckooIndex/Storage
-  /// counters into stats_ (lock-free: a delta fold against shard_prev_,
-  /// so direct writes to stats_ via mutable_stats() are preserved).
-  /// resize() replaces the index objects, so counters accumulated before
-  /// a resize are banked per shard.
+  bool capacity_eviction_round();
+  /// Insert `id` into the index, evicting from the insertion path on
+  /// conflicts. Returns false if it still cannot be placed.
+  bool insert_with_conflict_handling(std::uint32_t id, bool& conflicted);
+  /// Copy the live CuckooIndex/Storage counters into stats_. resize()
+  /// replaces the index object, so its counters are banked first.
   void sync_hot_counters() const;
   /// Checksums are maintained only when something will read them.
   bool integrity_on() const {
     return cfg_.verify_every_n != 0 || cfg_.scrub_entries_per_epoch != 0;
   }
-  std::uint64_t entry_checksum(const Shard& s, const Entry& e) const;
+  std::uint64_t entry_checksum(const Entry& e) const;
   /// Per-entry slice of the validate() cross-structure invariants.
-  bool entry_invariants_ok(const Shard& s, std::uint32_t id) const;
+  bool entry_invariants_ok(std::uint32_t id) const;
+  /// Drop the address index of invalidate_overlap (rebuilt on the next
+  /// put).
+  void discard_addr_index();
 
   Config cfg_;
   mutable Stats stats_;
-  /// Last per-field shard sums folded into stats_ (delta bookkeeping of
-  /// sync_hot_counters).
-  mutable Stats shard_prev_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// Raw mirror of shards_ — the hot path resolves a shard with one load
-  /// instead of chasing through the unique_ptr.
-  std::vector<Shard*> shard_tab_;
-  std::uint32_t shard_bits_ = 0;   ///< log2(cache_shards)
-  std::uint32_t shard_mask_ = 0;   ///< cache_shards - 1
-  std::uint32_t scrub_shard_ = 0;  ///< resume shard of the incremental scrubber
-  std::uint32_t scrub_cursor_ = 0; ///< resume slot within scrub_shard_
+  EntryOps ops_;  ///< stable address: the index holds a pointer to it
+  CuckooIndex<EntryOps> index_;
+  Storage storage_;
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> free_ids_;
+  std::vector<std::uint32_t> path_;  ///< scratch: cuckoo insertion path
+  std::size_t live_ = 0;
+  std::size_t pending_ = 0;
+  std::uint64_t g_ = 0;     ///< |C_w.G|, gets over the window's lifetime
+  double ags_ = 0.0;        ///< running average get size
+  std::uint64_t verify_tick_ = 0;  ///< hit counter for verify_every_n sampling
+  util::Xoshiro256 rng_;           ///< eviction sampling
+  CuckooIndex<EntryOps>::Counters counter_base_;  ///< banked across resize()
+  std::map<Key, std::uint32_t, AddrOrder> by_addr_;  ///< live key -> id
+  bool by_addr_on_ = false;
+  std::size_t max_span_ = 0;  ///< >= every footprint indexed since the build
+  std::vector<std::uint32_t> overlap_;  ///< scratch: ids a put drops
+  std::uint32_t scrub_cursor_ = 0;  ///< resume slot of the incremental scrubber
 };
 
 }  // namespace clampi

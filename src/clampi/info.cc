@@ -66,8 +66,6 @@ Config config_from_info(const Info& info, Config cfg) {
       cfg.index_entries = parse_u64(key, value);
     } else if (key == "clampi_storage_bytes") {
       cfg.storage_bytes = parse_size(value);
-    } else if (key == "clampi_cache_shards") {
-      cfg.cache_shards = parse_u64(key, value);
     } else if (key == "clampi_adaptive") {
       cfg.adaptive = parse_bool(key, value);
     } else if (key == "clampi_score") {
@@ -219,9 +217,6 @@ Info stats_to_info(const Stats& s) {
   put("degraded_hits", s.degraded_hits);
   put("degraded_expired", s.degraded_expired);
   put("degraded_corrupt_drops", s.degraded_corrupt_drops);
-  put("shard_lock_acquisitions", s.shard_lock_acquisitions);
-  put("shard_lock_contended", s.shard_lock_contended);
-  put("cross_shard_ops", s.cross_shard_ops);
   put("kv_bucket_reads", s.kv_bucket_reads);
   put("kv_chain_reads", s.kv_chain_reads);
   put("kv_version_rereads", s.kv_version_rereads);
@@ -249,16 +244,6 @@ Info stats_to_info(const Stats& s) {
 void validate_config(const Config& cfg) {
   CLAMPI_REQUIRE(cfg.index_entries >= 1, "config: index_entries must be >= 1");
   CLAMPI_REQUIRE(cfg.cuckoo_arity >= 1, "config: cuckoo_arity must be >= 1");
-  // Sharding: a power of two so the shard is a pure bit-field of the
-  // fingerprint, capped at 256 so entry ids (shard in the low bits, local
-  // id above) stay comfortably inside the index's 24-bit id space.
-  CLAMPI_REQUIRE(cfg.cache_shards >= 1 && cfg.cache_shards <= 256 &&
-                     (cfg.cache_shards & (cfg.cache_shards - 1)) == 0,
-                 "config: cache_shards must be a power of two in [1, 256]");
-  CLAMPI_REQUIRE(cfg.index_entries % cfg.cache_shards == 0,
-                 "config: index_entries must divide evenly by cache_shards");
-  CLAMPI_REQUIRE(cfg.storage_bytes % cfg.cache_shards == 0,
-                 "config: storage_bytes must divide evenly by cache_shards");
   CLAMPI_REQUIRE(cfg.sample_size >= 1, "config: eviction sample_size must be >= 1");
   CLAMPI_REQUIRE(cfg.min_index_entries <= cfg.max_index_entries,
                  "config: min_index_entries exceeds max_index_entries");

@@ -88,15 +88,6 @@ struct Stats {
   std::uint64_t degraded_corrupt_drops = 0; ///< degraded serves refused because
                                             ///< the entry failed its checksum
 
-  // --- shard contention (lock-striped concurrent core; docs/PERF.md) ---
-  std::uint64_t shard_lock_acquisitions = 0;  ///< shard-lock acquisitions on the
-                                              ///< access/entry paths
-  std::uint64_t shard_lock_contended = 0;     ///< of which found the lock held
-                                              ///< (spun or parked)
-  std::uint64_t cross_shard_ops = 0;          ///< multi-shard operations
-                                              ///< (invalidate/resize/scrub/audit/
-                                              ///< overlap walks) with >1 shard
-
   // Read/write shape of the KV subsystem layered on this window (src/kv):
   // fed through CachedWindow's note_kv_* hooks, zero for non-KV workloads.
   std::uint64_t kv_bucket_reads = 0;      ///< main-bucket fetches issued by kv lookups
@@ -217,9 +208,6 @@ struct Stats {
     d.degraded_hits = degraded_hits - base.degraded_hits;
     d.degraded_expired = degraded_expired - base.degraded_expired;
     d.degraded_corrupt_drops = degraded_corrupt_drops - base.degraded_corrupt_drops;
-    d.shard_lock_acquisitions = shard_lock_acquisitions - base.shard_lock_acquisitions;
-    d.shard_lock_contended = shard_lock_contended - base.shard_lock_contended;
-    d.cross_shard_ops = cross_shard_ops - base.cross_shard_ops;
     d.kv_bucket_reads = kv_bucket_reads - base.kv_bucket_reads;
     d.kv_chain_reads = kv_chain_reads - base.kv_chain_reads;
     d.kv_version_rereads = kv_version_rereads - base.kv_version_rereads;

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <map>
 #include <set>
-#include <tuple>
 #include <vector>
 
 #include "clampi/cache.h"
@@ -369,20 +368,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CacheOracle, ::testing::Values(1u, 2u, 77u, 4242
 // must drop exactly the ids a brute-force scan of the entry table picks,
 // in the scan's order, and audit() (which checks the address index once
 // built) must pass after every step.
-class InvalidateOverlapDiff
-    : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {};
+class InvalidateOverlapDiff : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(InvalidateOverlapDiff, MatchesReferenceScan) {
-  const auto [shards, seed] = GetParam();
   Config cfg;
   cfg.index_entries = 64;
   cfg.storage_bytes = 8 * 1024;
-  cfg.cache_shards = shards;
   cfg.mode = clampi::Mode::kAlwaysCache;
   CacheCore c(cfg);
-  clampi::util::Xoshiro256 rng(seed);
-  std::uint32_t shard_bits = 0;
-  while ((std::size_t{1} << shard_bits) < shards) ++shard_bits;
+  clampi::util::Xoshiro256 rng(GetParam());
 
   // The test's own record of each key's footprint (the core does not
   // expose it): set by a miss, widened by an extension, restored by a
@@ -393,20 +387,15 @@ TEST_P(InvalidateOverlapDiff, MatchesReferenceScan) {
     for (const std::uint32_t id : pending) c.mark_cached(id);
     pending.clear();
   };
-  // The scan invalidate_overlap replaced: every slot of shard 0, then of
-  // shard 1, ... (ids carry the shard in their low bits).
+  // The scan invalidate_overlap replaced: every slot of the entry table.
   const auto reference = [&](int t, std::uint64_t d, std::size_t n) {
     std::vector<std::uint32_t> out;
-    const std::size_t slots = c.entry_slots() >> shard_bits;
-    for (std::uint32_t si = 0; si < shards; ++si) {
-      for (std::uint32_t local = 0; local < slots; ++local) {
-        const std::uint32_t id = (local << shard_bits) | si;
-        if (!c.entry_live(id) || c.entry_pending(id)) continue;
-        const Key k = c.entry_key(id);
-        if (k.target != t) continue;
-        if (k.disp < d + n && k.disp + footprint.at({k.target, k.disp}) > d) {
-          out.push_back(id);
-        }
+    for (std::uint32_t id = 0; id < c.entry_slots(); ++id) {
+      if (!c.entry_live(id) || c.entry_pending(id)) continue;
+      const Key k = c.entry_key(id);
+      if (k.target != t) continue;
+      if (k.disp < d + n && k.disp + footprint.at({k.target, k.disp}) > d) {
+        out.push_back(id);
       }
     }
     return out;
@@ -486,10 +475,8 @@ TEST_P(InvalidateOverlapDiff, MatchesReferenceScan) {
   EXPECT_GT(extensions, 80u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, InvalidateOverlapDiff,
-                         ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{4}),
-                                            ::testing::Values(std::uint64_t{1},
-                                                              std::uint64_t{2},
-                                                              std::uint64_t{3})));
+INSTANTIATE_TEST_SUITE_P(Seeds, InvalidateOverlapDiff,
+                         ::testing::Values(std::uint64_t{1}, std::uint64_t{2},
+                                           std::uint64_t{3}));
 
 }  // namespace

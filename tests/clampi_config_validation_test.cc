@@ -256,32 +256,16 @@ TEST(ConfigValidation, TailInfoKeysParse) {
 }
 
 TEST(ConfigValidation, ShardKnobRules) {
-  // Power of two in [1, 256]...
-  for (const std::size_t ok : {1u, 2u, 4u, 8u, 256u}) {
-    Config c;
-    c.cache_shards = ok;
-    EXPECT_NO_THROW(validate_config(c)) << ok;
+  // The cache core is one partition per window per rank; the former
+  // sharding knob is now an unknown info key like any other.
+  try {
+    config_from_info(Info{{"clampi_cache_shards", "1"}});
+    ADD_FAILURE() << "clampi_cache_shards was accepted";
+  } catch (const util::ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown info key 'clampi_cache_shards'"),
+              std::string::npos)
+        << e.what();
   }
-  for (const std::size_t bad : {0u, 3u, 6u, 257u, 512u}) {
-    Config c;
-    c.cache_shards = bad;
-    EXPECT_THROW(validate_config(c), util::ContractError) << bad;
-  }
-
-  // ...and both partitioned sizes must divide evenly.
-  Config c;
-  c.cache_shards = 8;
-  c.index_entries = 4100;  // not a multiple of 8
-  EXPECT_THROW(validate_config(c), util::ContractError);
-  c.index_entries = 4096;
-  c.storage_bytes = (std::size_t{4} << 20) + 4;
-  EXPECT_THROW(validate_config(c), util::ContractError);
-  c.storage_bytes = std::size_t{4} << 20;
-  EXPECT_NO_THROW(validate_config(c));
-  EXPECT_NO_THROW(CacheCore{c});
-
-  const Info info{{"clampi_cache_shards", "16"}};
-  EXPECT_EQ(config_from_info(info).cache_shards, 16u);
 }
 
 TEST(ConfigValidation, HealthInfoKeysParse) {
