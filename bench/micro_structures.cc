@@ -4,13 +4,17 @@
 // the cache-miss case").
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <numeric>
 #include <vector>
 
 #include "clampi/cache.h"
 #include "clampi/cuckoo_index.h"
 #include "clampi/storage.h"
+#include "graph/lcc.h"
+#include "graph/rmat.h"
 #include "util/avl_tree.h"
 #include "util/rng.h"
 
@@ -207,6 +211,62 @@ void BM_DropById(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_DropById)->UseManualTime()->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
+
+// The LCC kernel rung (docs/PERF.md "LCC kernel"): one vertex v with
+// |adj(v)| = a and a neighbours whose lists hold b ids each, drawn from a
+// pool of 64 random sorted lists over the 2^14 ids of an R-MAT scale-14
+// graph. The merge intersects adj(v) with every list; the marker marks
+// adj(v), probes every list and clears adj(v), as DistributedLcc does.
+// `per_elem` is the time per fetched-list element (a * b per iteration).
+enum class LccKernel { kMerge, kMarker };
+
+void BM_LccIntersect(benchmark::State& state, LccKernel kernel) {
+  constexpr std::size_t kIds = std::size_t{1} << 14;
+  constexpr std::size_t kPool = 64;
+  const auto a = static_cast<std::size_t>(state.range(0));
+  const auto b = static_cast<std::size_t>(state.range(1));
+  util::Xoshiro256 rng(7);
+  std::vector<graph::Vertex> ids(kIds);
+  std::iota(ids.begin(), ids.end(), 0);
+  const auto sorted_sample = [&](std::size_t k) {
+    for (std::size_t i = 0; i < k; ++i) std::swap(ids[i], ids[i + rng.bounded(kIds - i)]);
+    std::vector<graph::Vertex> out(ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(k));
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const std::vector<graph::Vertex> nv = sorted_sample(a);
+  std::vector<std::vector<graph::Vertex>> pool;
+  for (std::size_t i = 0; i < kPool; ++i) pool.push_back(sorted_sample(b));
+  graph::AdjacencyMarker marker(kIds);
+  std::size_t closed = 0;
+  for (auto _ : state) {
+    if (kernel == LccKernel::kMerge) {
+      for (std::size_t k = 0; k < a; ++k) {
+        const auto& list = pool[k % kPool];
+        closed += graph::intersect_count(nv.data(), a, list.data(), b);
+      }
+    } else {
+      marker.mark(nv.data(), a);
+      for (std::size_t k = 0; k < a; ++k) {
+        const auto& list = pool[k % kPool];
+        closed += marker.count(list.data(), b);
+      }
+      marker.clear(nv.data(), a);
+    }
+    benchmark::DoNotOptimize(closed);
+  }
+  state.counters["per_elem"] =
+      benchmark::Counter(static_cast<double>(a * b * state.iterations()),
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_LccIntersect, merge, LccKernel::kMerge)
+    ->Args({8, 8})
+    ->Args({4096, 8})
+    ->Args({4096, 4096});
+BENCHMARK_CAPTURE(BM_LccIntersect, marker, LccKernel::kMarker)
+    ->Args({8, 8})
+    ->Args({4096, 8})
+    ->Args({4096, 4096});
 
 }  // namespace
 

@@ -7,7 +7,7 @@ namespace clampi::graph {
 
 DistributedLcc::DistributedLcc(rmasim::Process& p, std::shared_ptr<const Csr> graph,
                                const LccConfig& cfg)
-    : p_(&p), g_(std::move(graph)), cfg_(cfg) {
+    : p_(&p), g_(std::move(graph)), cfg_(cfg), marker_(g_->num_vertices()) {
   const auto n = g_->num_vertices();
   const auto nr = static_cast<std::size_t>(p.nranks());
   range_first_.resize(nr + 1);
@@ -37,12 +37,7 @@ int DistributedLcc::owner_of(Vertex v) const {
   return static_cast<int>(it - range_first_.begin()) - 1;
 }
 
-const Vertex* DistributedLcc::fetch_adjacency(Vertex u, Vertex* dst) {
-  const int owner = owner_of(u);
-  if (owner == p_->rank()) {
-    ++current_.local_reads;
-    return g_->neighbors(u);
-  }
+const Vertex* DistributedLcc::fetch_remote(Vertex u, int owner, Vertex* dst) {
   if (cfg_.skip_dead_ranks && cached_.has_value() && !cfg_.clampi_cfg.degraded_reads &&
       !cfg_.clampi_cfg.cache_fallback) {
     // Typed health query: with no degraded-read policy to fall back on, a
@@ -90,19 +85,27 @@ DistributedLcc::Report DistributedLcc::run() {
     const Vertex* nv = g_->neighbors(v);
 
     // Natural fetch-then-consume loop: each neighbour's adjacency list is
-    // needed by the intersection that follows it, so every remote get is
+    // needed by the count that follows it, so every remote get is
     // completed before use (the paper treats gets as blocking; CLaMPI
     // hits skip the round trip entirely).
+    marker_.mark(nv, deg);
     std::size_t closed = 0;
     for (std::uint64_t k = 0; k < deg; ++k) {
       const Vertex u = nv[k];
-      scratch.resize(g_->degree(u));
-      const double c0 = p_->now_us();
-      const Vertex* list = fetch_adjacency(u, scratch.data());
-      current_.comm_us += p_->now_us() - c0;
-      if (list == nullptr) continue;  // owner down, get dropped
-      closed += intersect_count(nv, deg, list, g_->degree(u));
+      const int owner = owner_of(u);
+      const Vertex* list = g_->neighbors(u);
+      if (owner == p_->rank()) {
+        ++current_.local_reads;
+      } else {
+        scratch.resize(g_->degree(u));
+        const double c0 = p_->now_us();
+        list = fetch_remote(u, owner, scratch.data());
+        current_.comm_us += p_->now_us() - c0;
+        if (list == nullptr) continue;  // owner down, get dropped
+      }
+      closed += marker_.count(list, g_->degree(u));
     }
+    marker_.clear(nv, deg);
     const double coeff = static_cast<double>(closed) /
                          (static_cast<double>(deg) * static_cast<double>(deg - 1));
     lcc_[v - first_] = coeff;

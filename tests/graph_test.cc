@@ -2,6 +2,8 @@
 // the distributed LCC against the serial reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <numeric>
 
@@ -11,10 +13,12 @@
 #include "graph/rmat.h"
 #include "netmodel/model.h"
 #include "rt/engine.h"
+#include "util/rng.h"
 
 namespace {
 
 using namespace clampi;
+using graph::AdjacencyMarker;
 using graph::build_csr;
 using graph::Csr;
 using graph::DistributedLcc;
@@ -33,6 +37,46 @@ Engine::Config engine_cfg(int nranks) {
   cfg.nranks = nranks;
   cfg.model = std::make_shared<net::FlatModel>(2.0, 0.001);
   cfg.time_policy = rmasim::TimePolicy::kModeled;
+  return cfg;
+}
+
+struct LccRun {
+  std::vector<double> lcc;  ///< every vertex's coefficient, gathered
+  std::uint64_t self_heals = 0;
+  std::uint64_t storage_bitflips = 0;
+};
+
+/// Run DistributedLcc on every rank of `ec` and gather the coefficients
+/// and the clampi integrity counters (summed over ranks).
+LccRun run_distributed(std::shared_ptr<const Csr> g, const Engine::Config& ec,
+                       const LccConfig& cfg) {
+  LccRun out;
+  out.lcc.assign(g->num_vertices(), -1.0);
+  std::vector<clampi::Stats> stats(static_cast<std::size_t>(ec.nranks));
+  Engine e(ec);
+  e.run([&](Process& p) {
+    DistributedLcc solver(p, g, cfg);
+    solver.run();
+    const auto& local = solver.local_lcc();
+    for (std::size_t i = 0; i < local.size(); ++i) {
+      out.lcc[solver.first_vertex() + i] = local[i];
+    }
+    if (const auto* st = solver.clampi_stats()) stats[static_cast<std::size_t>(p.rank())] = *st;
+    p.barrier();
+  });
+  for (const auto& st : stats) {
+    out.self_heals += st.self_heals;
+    out.storage_bitflips += st.storage_bitflips;
+  }
+  return out;
+}
+
+LccConfig always_cache_cfg() {
+  LccConfig cfg;
+  cfg.backend = LccBackend::kClampi;
+  cfg.clampi_cfg.mode = Mode::kAlwaysCache;
+  cfg.clampi_cfg.index_entries = 4096;
+  cfg.clampi_cfg.storage_bytes = 4 << 20;
   return cfg;
 }
 
@@ -102,6 +146,83 @@ TEST(Intersect, SortedIntersection) {
   EXPECT_EQ(intersect_count(a, 5, a, 5), 5u);
 }
 
+// |a ∩ b| through the marker, leaving it clear for the next use.
+std::size_t marker_count(AdjacencyMarker& m, const std::vector<Vertex>& a,
+                         const std::vector<Vertex>& b) {
+  m.mark(a.data(), a.size());
+  const std::size_t n = m.count(b.data(), b.size());
+  m.clear(a.data(), a.size());
+  return n;
+}
+
+std::vector<Vertex> sorted_sample(util::Xoshiro256& rng, std::size_t n, std::size_t k) {
+  std::vector<Vertex> ids(n);
+  std::iota(ids.begin(), ids.end(), Vertex{0});
+  for (std::size_t i = 0; i < k; ++i) std::swap(ids[i], ids[i + rng.bounded(n - i)]);
+  ids.resize(k);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST(LccKernel, MarkerCountMatchesMergeOnSortedSets) {
+  constexpr std::size_t kN = 4096;
+  util::Xoshiro256 rng(17);
+  std::vector<Vertex> evens, odds, interleaved;
+  for (Vertex x = 0; x < 200; x += 2) evens.push_back(x);
+  for (Vertex x = 1; x < 200; x += 2) odds.push_back(x);
+  for (Vertex x = 0; x < 300; x += 3) interleaved.push_back(x);  // shares multiples of 6
+  const std::vector<Vertex> hub = sorted_sample(rng, kN, 2000);
+  const std::vector<Vertex> leaf = sorted_sample(rng, kN, 12);
+  const std::vector<Vertex> random_a = sorted_sample(rng, kN, 300);
+  const std::vector<Vertex> random_b = sorted_sample(rng, kN, 300);
+  const std::vector<std::pair<std::vector<Vertex>, std::vector<Vertex>>> cases = {
+      {{}, {}},           {{}, random_a},     {random_a, {}},       {evens, odds},
+      {random_a, random_a}, {hub, leaf},      {leaf, hub},          {evens, interleaved},
+      {random_a, random_b}, {hub, random_b}};
+  // One marker across every case: a stale mark left by one case shows up
+  // in a later one.
+  AdjacencyMarker m(kN);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto& [a, b] = cases[i];
+    EXPECT_EQ(marker_count(m, a, b), intersect_count(a.data(), a.size(), b.data(), b.size()))
+        << "case " << i;
+  }
+  EXPECT_EQ(marker_count(m, evens, odds), 0u);
+  EXPECT_EQ(marker_count(m, random_a, random_a), random_a.size());
+  EXPECT_EQ(marker_count(m, evens, interleaved), 34u);
+}
+
+TEST(LccKernel, MarkerCountMatchesMergeOnEveryRmatEdge) {
+  const Csr g = rmat_graph({.scale = 10, .edge_factor = 16, .seed = 3});
+  AdjacencyMarker m(g.num_vertices());
+  std::uint64_t pairs = 0;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    const Vertex* nv = g.neighbors(v);
+    m.mark(nv, g.degree(v));
+    for (std::uint64_t k = 0; k < g.degree(v); ++k) {
+      const Vertex u = nv[k];
+      ASSERT_EQ(m.count(g.neighbors(u), g.degree(u)),
+                intersect_count(nv, g.degree(v), g.neighbors(u), g.degree(u)))
+          << "edge (" << v << "," << u << ")";
+      ++pairs;
+    }
+    m.clear(nv, g.degree(v));
+  }
+  EXPECT_EQ(pairs, g.adj.size());
+}
+
+TEST(LccKernel, IdsOutOfRangeCountAsNoMatch) {
+  constexpr std::size_t kN = 64;
+  std::vector<Vertex> all(kN);
+  std::iota(all.begin(), all.end(), Vertex{0});
+  AdjacencyMarker m(kN);
+  m.mark(all.data(), all.size());
+  const std::vector<Vertex> garbage = {0, 63, 64, 65, 1000, 0x7fffffffu, 0xffffffffu};
+  EXPECT_EQ(m.count(garbage.data(), garbage.size()), 2u);
+  m.clear(all.data(), all.size());
+  EXPECT_EQ(m.count(garbage.data(), garbage.size()), 0u);
+}
+
 TEST(LccReference, TriangleAndPath) {
   // Triangle 0-1-2 plus pendant 3 attached to 2.
   const Csr g = build_csr(4, {{0, 1}, {1, 2}, {0, 2}, {2, 3}});
@@ -135,31 +256,101 @@ TEST_P(LccDistributed, MatchesSerialReference) {
   const bool use_clampi = std::get<1>(GetParam());
   auto g = std::make_shared<Csr>(rmat_graph({.scale = 9, .edge_factor = 8, .seed = 21}));
   const auto want = lcc_reference(*g);
-
-  Engine e(engine_cfg(nranks));
-  auto results = std::make_shared<std::vector<double>>(g->num_vertices(), -1.0);
-  e.run([&](Process& p) {
-    LccConfig cfg;
-    cfg.backend = use_clampi ? LccBackend::kClampi : LccBackend::kNone;
-    cfg.clampi_cfg.mode = Mode::kAlwaysCache;
-    cfg.clampi_cfg.index_entries = 4096;
-    cfg.clampi_cfg.storage_bytes = 4 << 20;
-    DistributedLcc solver(p, g, cfg);
-    solver.run();
-    const auto& local = solver.local_lcc();
-    for (std::size_t i = 0; i < local.size(); ++i) {
-      (*results)[solver.first_vertex() + i] = local[i];
-    }
-    p.barrier();
-  });
+  LccConfig cfg = always_cache_cfg();
+  if (!use_clampi) cfg.backend = LccBackend::kNone;
+  const auto got = run_distributed(g, engine_cfg(nranks), cfg);
   for (std::size_t v = 0; v < want.size(); ++v) {
-    ASSERT_NEAR((*results)[v], want[v], 1e-12) << "vertex " << v;
+    ASSERT_NEAR(got.lcc[v], want[v], 1e-12) << "vertex " << v;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, LccDistributed,
                          ::testing::Combine(::testing::Values(1, 2, 4, 8),
                                             ::testing::Bool()));
+
+// Shapes that stress the kernel: an unpermuted R-MAT puts every hub on
+// rank 0, a complete graph makes every list a hub, a star pairs one hub
+// with leaves that share nothing.
+enum class Shape { kRmatUnpermuted, kComplete, kStar };
+
+void PrintTo(Shape s, std::ostream* os) {
+  *os << (s == Shape::kRmatUnpermuted ? "rmat_unpermuted"
+          : s == Shape::kComplete     ? "complete"
+                                      : "star");
+}
+
+std::shared_ptr<const Csr> make_shape(Shape s) {
+  std::vector<std::pair<Vertex, Vertex>> edges;
+  switch (s) {
+    case Shape::kRmatUnpermuted:
+      return std::make_shared<Csr>(
+          rmat_graph({.scale = 9, .edge_factor = 8, .seed = 21, .permute_labels = false}));
+    case Shape::kComplete:
+      for (Vertex u = 0; u < 40; ++u) {
+        for (Vertex v = u + 1; v < 40; ++v) edges.emplace_back(u, v);
+      }
+      return std::make_shared<Csr>(build_csr(40, std::move(edges)));
+    case Shape::kStar:
+      for (Vertex v = 1; v < 64; ++v) edges.emplace_back(0, v);
+      return std::make_shared<Csr>(build_csr(64, std::move(edges)));
+  }
+  return nullptr;
+}
+
+class LccShapes : public ::testing::TestWithParam<std::tuple<Shape, int>> {};
+
+TEST_P(LccShapes, MatchesSerialReference) {
+  const auto g = make_shape(std::get<0>(GetParam()));
+  const auto want = lcc_reference(*g);
+  const auto got = run_distributed(g, engine_cfg(std::get<1>(GetParam())), always_cache_cfg());
+  for (std::size_t v = 0; v < want.size(); ++v) {
+    ASSERT_EQ(got.lcc[v], want[v]) << "vertex " << v;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Graphs, LccShapes,
+                         ::testing::Combine(::testing::Values(Shape::kRmatUnpermuted,
+                                                              Shape::kComplete, Shape::kStar),
+                                            ::testing::Values(1, 2, 4)));
+
+// Bit rot in always-cache mode: verification must hide it completely;
+// without verification the corrupted lists, garbage ids included, reach
+// the kernel and the run must still complete.
+Engine::Config bit_rot_engine() {
+  fault::Plan plan;
+  plan.storage_bitflip_prob = 1e-3;
+  Engine::Config ec = engine_cfg(4);
+  ec.injector = std::make_shared<fault::Injector>(plan);
+  return ec;
+}
+
+TEST(LccDistributed, BitRotWithVerificationMatchesReference) {
+  auto g = std::make_shared<Csr>(rmat_graph({.scale = 9, .edge_factor = 8, .seed = 21}));
+  LccConfig cfg = always_cache_cfg();
+  cfg.clampi_cfg.verify_every_n = 1;
+  const auto got = run_distributed(g, bit_rot_engine(), cfg);
+  EXPECT_GT(got.storage_bitflips, 0u);
+  EXPECT_GT(got.self_heals, 0u);
+  const auto want = lcc_reference(*g);
+  for (std::size_t v = 0; v < want.size(); ++v) {
+    ASSERT_EQ(got.lcc[v], want[v]) << "vertex " << v;
+  }
+}
+
+TEST(LccDistributed, BitRotWithoutVerificationCompletes) {
+  auto g = std::make_shared<Csr>(rmat_graph({.scale = 9, .edge_factor = 8, .seed = 21}));
+  const auto got = run_distributed(g, bit_rot_engine(), always_cache_cfg());
+  EXPECT_GT(got.storage_bitflips, 0u);
+  EXPECT_EQ(got.self_heals, 0u);
+  const auto want = lcc_reference(*g);
+  std::size_t wrong = 0;
+  for (std::size_t v = 0; v < want.size(); ++v) {
+    ASSERT_TRUE(std::isfinite(got.lcc[v]) && got.lcc[v] >= 0.0) << "vertex " << v;
+    if (got.lcc[v] != want[v]) ++wrong;
+  }
+  // Corrupted lists did reach the kernel.
+  EXPECT_GT(wrong, 0u);
+}
 
 TEST(LccDistributed, CachingProducesHitsOnSharedNeighbours) {
   auto g = std::make_shared<Csr>(rmat_graph({.scale = 10, .edge_factor = 16, .seed = 31}));
