@@ -146,7 +146,7 @@ CellResult run_cell(std::uint64_t nkeys, const CellSpec& spec) {
         }
       }
       out.write_elapsed_us = p.now_us() - t0;
-      out.appends = store.window().stats().kv_journal_appends;
+      out.appends = store.counters().journal_appends;
       if (spec.crash && p.now_us() >= crash_us) out.schedule_violated = true;
       store.window().unlock_all();
     }
@@ -201,11 +201,11 @@ CellResult run_cell(std::uint64_t nkeys, const CellSpec& spec) {
       }
       store.window().unlock_all();
     } else if (p.rank() == kCrashRank) {
-      const Stats& st = store.window().stats();
-      out.replayed = st.kv_journal_replayed;
-      out.torn_dropped = st.kv_torn_records_dropped;
-      out.snapshot_loads = st.kv_snapshot_loads;
-      out.recovery_repairs = st.kv_recovery_repairs;
+      const kv::StoreCounters& kc = store.counters();
+      out.replayed = kc.journal_replayed;
+      out.torn_dropped = kc.torn_records_dropped;
+      out.snapshot_loads = kc.snapshot_loads;
+      out.recovery_repairs = kc.recovery_repairs;
       out.restarts_handled = store.crash_restarts_handled();
     }
     p.barrier();  // verification reads quiesced before the ground truth

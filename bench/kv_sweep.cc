@@ -57,6 +57,7 @@ constexpr double kDeathUs = 20000.0;
 struct ClientOut {
   kv::WorkloadReport rep;
   Stats stats;
+  kv::StoreCounters kv;
 };
 
 /// One engine run: build the store, drive both clients, harvest reports.
@@ -101,9 +102,9 @@ struct RunResult {
     rerouted += c.rep.rerouted;
     put_applied += c.rep.put_replicas_applied;
     put_skipped += c.rep.put_replicas_skipped;
-    kv_bucket_reads += c.stats.kv_bucket_reads;
-    kv_chain_reads += c.stats.kv_chain_reads;
-    kv_version_rereads += c.stats.kv_version_rereads;
+    kv_bucket_reads += c.kv.bucket_reads;
+    kv_chain_reads += c.kv.chain_reads;
+    kv_version_rereads += c.kv.version_rereads;
     put_invalidation_ops += c.stats.put_invalidation_ops;
     elapsed_us = std::max(elapsed_us, c.rep.elapsed_us);
     p50_us = std::max(p50_us, c.rep.p50_us);
@@ -177,6 +178,7 @@ RunResult run_cell(std::uint64_t nkeys, std::uint64_t ops, double skew,
       out.rep = driver.run(p);
       out.rep.mismatches += warm_rep.mismatches;
       out.stats = store.window().stats();
+      out.kv = store.counters();
     }
     p.barrier();
     store.free_window();

@@ -2,7 +2,8 @@
 //
 // Guards the per-operation costs the paper's crossover analysis lives on
 // (Sec. III, Fig. 7): index lookup hit/miss, the cuckoo insertion walk,
-// storage alloc/dealloc/extend, and the end-to-end cached-get hit. Unlike
+// storage alloc/dealloc/extend, the end-to-end cached-get hit in the core
+// and the same hit one rung up, through CachedWindow::get(). Unlike
 // micro_structures.cc (broad data-structure coverage), every benchmark
 // here keeps harness overhead off the measured path: key selection uses
 // power-of-two masks (no integer divide), sizes come from precomputed
@@ -16,12 +17,16 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "clampi/cache.h"
 #include "clampi/cuckoo_index.h"
 #include "clampi/storage.h"
+#include "clampi/window.h"
+#include "netmodel/model.h"
+#include "rt/engine.h"
 #include "util/rng.h"
 
 using namespace clampi;
@@ -249,6 +254,44 @@ void BM_CachedGetHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CachedGetHit)->Arg(64)->Arg(4096)->Arg(65536);
+
+// One rung up: CachedWindow::get() on a resident entry — admission
+// checks, breaker and degraded-read gates, the core hit and the local
+// copy — run by rank 0 of a 2-rank modelled engine. Real time, because
+// the loop runs on the rank's thread, not the benchmark's.
+void BM_WindowGetHit(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kKeys = 64;
+  rmasim::Engine::Config ecfg;
+  ecfg.nranks = 2;
+  ecfg.model = std::make_shared<net::FlatModel>(1.0, 0.0);
+  ecfg.time_policy = rmasim::TimePolicy::kModeled;
+  rmasim::Engine e(ecfg);
+  e.run([&](rmasim::Process& p) {
+    Config cfg;
+    cfg.mode = Mode::kAlwaysCache;
+    cfg.index_entries = 1 << 10;
+    cfg.storage_bytes = std::size_t{8} << 20;
+    void* base = nullptr;
+    auto win = CachedWindow::allocate(p, kKeys * bytes, &base, cfg);
+    if (p.rank() == 0) {
+      std::vector<std::byte> buf(bytes);
+      win.lock_all();
+      for (std::size_t k = 0; k < kKeys; ++k) win.get(buf.data(), bytes, 1, k * bytes);
+      win.flush_all();
+      std::size_t i = 0;
+      for (auto _ : state) {
+        win.get(buf.data(), bytes, 1, (i++ & (kKeys - 1)) * bytes);
+        benchmark::DoNotOptimize(buf.data());
+        benchmark::ClobberMemory();
+      }
+      win.unlock_all();
+    }
+    p.barrier();
+    win.free_window();
+  });
+}
+BENCHMARK(BM_WindowGetHit)->Arg(64)->UseRealTime();
 
 // Steady-state miss with one capacity eviction per access — the weak-
 // caching bound (Sec. III-D2) on the miss side.

@@ -140,7 +140,7 @@ CellResult run_cell(std::uint64_t nkeys, std::uint64_t ops, bool partition,
 
   struct ClientOut {
     kv::WorkloadReport rep;
-    Stats stats;
+    kv::StoreCounters kv;
     std::uint64_t ae_steps = 0;
     std::uint64_t hints_leftover = 0;
     kv::Store::ConvergenceReport conv;
@@ -203,7 +203,7 @@ CellResult run_cell(std::uint64_t nkeys, std::uint64_t ops, bool partition,
       store.window().unlock_all();
     }
     if (p.rank() >= kServers) {
-      (*outs)[static_cast<std::size_t>(p.rank())].stats = store.window().stats();
+      (*outs)[static_cast<std::size_t>(p.rank())].kv = store.counters();
     }
     p.barrier();
     store.free_window();
@@ -220,11 +220,11 @@ CellResult run_cell(std::uint64_t nkeys, std::uint64_t ops, bool partition,
     r.put_applied += o.rep.put_replicas_applied;
     r.put_skipped += o.rep.put_replicas_skipped;
     r.put_hinted += o.rep.put_replicas_hinted;
-    r.hints_queued += o.stats.kv_hints_queued;
-    r.hints_drained += o.stats.kv_hints_drained;
-    r.hints_dropped += o.stats.kv_hints_dropped;
-    r.read_repairs += o.stats.kv_read_repairs;
-    r.ae_repairs += o.stats.kv_antientropy_repairs;
+    r.hints_queued += o.kv.hints_queued;
+    r.hints_drained += o.kv.hints_drained;
+    r.hints_dropped += o.kv.hints_dropped;
+    r.read_repairs += o.kv.read_repairs;
+    r.ae_repairs += o.kv.antientropy_repairs;
     r.hints_leftover += o.hints_leftover;
     r.ae_steps += o.ae_steps;
     r.elapsed_us = std::max(r.elapsed_us, o.rep.elapsed_us);

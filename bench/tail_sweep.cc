@@ -86,6 +86,7 @@ struct CellSpec {
 struct CellOut {
   kv::WorkloadReport rep;
   Stats stats;
+  kv::StoreCounters kv;
   double admit_fraction = 1.0;
 
   double goodput_per_sec() const {
@@ -167,6 +168,7 @@ CellOut run_cell(const CellSpec& s) {
       o.rep = driver.run(p);
       o.rep.mismatches += calm_mm;
       o.stats = store.window().stats();
+      o.kv = store.counters();
       o.admit_fraction = store.window().admit_fraction();
     }
     p.barrier();
@@ -193,9 +195,9 @@ void emit_cell(std::string& json, const char* cell, const char* variant,
       static_cast<unsigned long long>(o.rep.attempted),
       static_cast<unsigned long long>(o.rep.served), o.rep.availability(),
       o.goodput_per_sec(), o.rep.p50_us, o.rep.p99_us, o.rep.max_us,
-      static_cast<unsigned long long>(o.stats.kv_hedged_gets),
-      static_cast<unsigned long long>(o.stats.kv_hedge_wins),
-      static_cast<unsigned long long>(o.stats.kv_hedge_wasted),
+      static_cast<unsigned long long>(o.kv.hedged_gets),
+      static_cast<unsigned long long>(o.kv.hedge_wins),
+      static_cast<unsigned long long>(o.kv.hedge_wasted),
       static_cast<unsigned long long>(o.rep.deadline_misses),
       static_cast<unsigned long long>(o.rep.ops_shed),
       static_cast<unsigned long long>(o.stats.slow_observations),
@@ -246,15 +248,15 @@ int main(int argc, char** argv) {
                "tail_sweep: hedge p99 %.1fus vs unhedged %.1fus (hedged=%llu "
                "wins=%llu wasted=%llu)\n",
                hedged.rep.p99_us, unhedged.rep.p99_us,
-               static_cast<unsigned long long>(hedged.stats.kv_hedged_gets),
-               static_cast<unsigned long long>(hedged.stats.kv_hedge_wins),
-               static_cast<unsigned long long>(hedged.stats.kv_hedge_wasted));
-  pass &= gate(hedged.stats.kv_hedged_gets > 0, "hedge: no hedges fired");
-  pass &= gate(hedged.stats.kv_hedge_wins > 0, "hedge: no hedge ever won");
+               static_cast<unsigned long long>(hedged.kv.hedged_gets),
+               static_cast<unsigned long long>(hedged.kv.hedge_wins),
+               static_cast<unsigned long long>(hedged.kv.hedge_wasted));
+  pass &= gate(hedged.kv.hedged_gets > 0, "hedge: no hedges fired");
+  pass &= gate(hedged.kv.hedge_wins > 0, "hedge: no hedge ever won");
   pass &= gate(hedged.rep.p99_us <= 0.5 * unhedged.rep.p99_us,
                "hedge: hedged p99 > 0.5x unhedged p99");
-  pass &= gate(static_cast<double>(hedged.stats.kv_hedge_wasted) <=
-                   0.25 * static_cast<double>(hedged.stats.kv_hedged_gets),
+  pass &= gate(static_cast<double>(hedged.kv.hedge_wasted) <=
+                   0.25 * static_cast<double>(hedged.kv.hedged_gets),
                "hedge: waste > 0.25x hedged gets");
   pass &= gate(hedged.stats.slow_observations > 0,
                "hedge: straggler epoch never observed as SLOW");

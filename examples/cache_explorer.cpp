@@ -183,6 +183,7 @@ int main(int argc, char** argv) {
         kv::Driver driver(store, wcfg, /*client_index=*/0, /*nclients=*/1);
         const kv::WorkloadReport rep = driver.run(p);
         const Stats kst = store.window().stats();
+        const kv::StoreCounters kc = store.counters();
         const double ops = static_cast<double>(kst.put_invalidation_ops
                                                    ? kst.put_invalidation_ops
                                                    : 1);
@@ -193,10 +194,10 @@ int main(int argc, char** argv) {
             "  put_invalidation_ops %llu dropping %llu entries "
             "(fan-out %.2f/op), mismatches %llu\n",
             static_cast<unsigned long long>(rep.attempted),
-            static_cast<unsigned long long>(kst.kv_bucket_reads),
+            static_cast<unsigned long long>(kc.bucket_reads),
             100.0 * rep.hit_frac(),
-            static_cast<unsigned long long>(kst.kv_chain_reads),
-            static_cast<unsigned long long>(kst.kv_version_rereads),
+            static_cast<unsigned long long>(kc.chain_reads),
+            static_cast<unsigned long long>(kc.version_rereads),
             static_cast<unsigned long long>(kst.put_invalidation_ops),
             static_cast<unsigned long long>(kst.put_invalidations),
             static_cast<double>(kst.put_invalidations) / ops,
@@ -257,7 +258,7 @@ int main(int argc, char** argv) {
         for (int pass = 0; pass < 2 * 4; ++pass) store.anti_entropy_step();
         const kv::Store::ConvergenceReport conv = store.verify_convergence();
         store.window().unlock_all();
-        const Stats kst = store.window().stats();
+        const kv::StoreCounters kc = store.counters();
         std::printf(
             "\nconvergence preview (%llu ops, partition 20-50ms, hinted "
             "handoff + read-repair + anti-entropy, mismatches %llu):\n"
@@ -267,11 +268,11 @@ int main(int argc, char** argv) {
             "divergent after repair %llu/%llu\n",
             static_cast<unsigned long long>(rep.attempted),
             static_cast<unsigned long long>(rep.mismatches),
-            static_cast<unsigned long long>(kst.kv_hints_queued),
-            static_cast<unsigned long long>(kst.kv_hints_drained),
-            static_cast<unsigned long long>(kst.kv_hints_dropped),
-            static_cast<unsigned long long>(kst.kv_read_repairs),
-            static_cast<unsigned long long>(kst.kv_antientropy_repairs),
+            static_cast<unsigned long long>(kc.hints_queued),
+            static_cast<unsigned long long>(kc.hints_drained),
+            static_cast<unsigned long long>(kc.hints_dropped),
+            static_cast<unsigned long long>(kc.read_repairs),
+            static_cast<unsigned long long>(kc.antientropy_repairs),
             static_cast<unsigned long long>(conv.keys_divergent),
             static_cast<unsigned long long>(conv.keys_checked));
       }
@@ -357,14 +358,14 @@ int main(int argc, char** argv) {
       }
       p.barrier();
       if (p.rank() == 1) {
-        const Stats kst = store.window().stats();
+        const kv::StoreCounters kc = store.counters();
         std::printf(
             "  server 1: restarts_handled %d, kv_journal_replayed %llu, "
             "kv_torn_records_dropped %llu, kv_snapshot_loads %llu\n",
             store.crash_restarts_handled(),
-            static_cast<unsigned long long>(kst.kv_journal_replayed),
-            static_cast<unsigned long long>(kst.kv_torn_records_dropped),
-            static_cast<unsigned long long>(kst.kv_snapshot_loads));
+            static_cast<unsigned long long>(kc.journal_replayed),
+            static_cast<unsigned long long>(kc.torn_records_dropped),
+            static_cast<unsigned long long>(kc.snapshot_loads));
       }
       p.barrier();
       store.free_window();
@@ -425,6 +426,7 @@ int main(int argc, char** argv) {
         kv::Driver driver(store, wcfg, /*client_index=*/0, /*nclients=*/1);
         const kv::WorkloadReport rep = driver.run(p);
         const Stats kst = store.window().stats();
+        const kv::StoreCounters kc = store.counters();
         std::printf(
             "\ntail preview (%llu ops, 30x straggler on server 1 + 40%% "
             "transients, 60us budgets, mismatches %llu):\n"
@@ -434,9 +436,9 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(rep.attempted),
             static_cast<unsigned long long>(rep.mismatches),
             static_cast<unsigned long long>(kst.slow_observations),
-            static_cast<unsigned long long>(kst.kv_hedged_gets),
-            static_cast<unsigned long long>(kst.kv_hedge_wins),
-            static_cast<unsigned long long>(kst.kv_hedge_wasted),
+            static_cast<unsigned long long>(kc.hedged_gets),
+            static_cast<unsigned long long>(kc.hedge_wins),
+            static_cast<unsigned long long>(kc.hedge_wasted),
             static_cast<unsigned long long>(kst.deadline_misses),
             static_cast<unsigned long long>(kst.ops_shed),
             store.window().admit_fraction());

@@ -100,8 +100,8 @@ int main() {
       std::printf("client cache: %.1f%% hits, %llu bucket reads "
                   "(%llu chain follows), %llu invalidations, 0 stale reads\n",
                   100.0 * st.hit_ratio(),
-                  static_cast<unsigned long long>(st.kv_bucket_reads),
-                  static_cast<unsigned long long>(st.kv_chain_reads),
+                  static_cast<unsigned long long>(store.counters().bucket_reads),
+                  static_cast<unsigned long long>(store.counters().chain_reads),
                   static_cast<unsigned long long>(st.invalidations));
     }
     p.barrier();

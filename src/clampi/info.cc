@@ -217,27 +217,11 @@ Info stats_to_info(const Stats& s) {
   put("degraded_hits", s.degraded_hits);
   put("degraded_expired", s.degraded_expired);
   put("degraded_corrupt_drops", s.degraded_corrupt_drops);
-  put("kv_bucket_reads", s.kv_bucket_reads);
-  put("kv_chain_reads", s.kv_chain_reads);
-  put("kv_version_rereads", s.kv_version_rereads);
   put("put_invalidation_ops", s.put_invalidation_ops);
-  put("kv_hints_queued", s.kv_hints_queued);
-  put("kv_hints_drained", s.kv_hints_drained);
-  put("kv_hints_dropped", s.kv_hints_dropped);
-  put("kv_read_repairs", s.kv_read_repairs);
-  put("kv_antientropy_repairs", s.kv_antientropy_repairs);
   put("deadline_misses", s.deadline_misses);
   put("ops_shed", s.ops_shed);
   put("slow_observations", s.slow_observations);
-  put("kv_hedged_gets", s.kv_hedged_gets);
-  put("kv_hedge_wins", s.kv_hedge_wins);
-  put("kv_hedge_wasted", s.kv_hedge_wasted);
   put("crash_invalidations", s.crash_invalidations);
-  put("kv_journal_appends", s.kv_journal_appends);
-  put("kv_journal_replayed", s.kv_journal_replayed);
-  put("kv_torn_records_dropped", s.kv_torn_records_dropped);
-  put("kv_snapshot_loads", s.kv_snapshot_loads);
-  put("kv_recovery_repairs", s.kv_recovery_repairs);
   return out;
 }
 

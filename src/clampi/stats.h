@@ -56,6 +56,8 @@ struct Stats {
   std::uint64_t shadow_verifications = 0;    ///< hits double-checked remotely
   std::uint64_t shadow_mismatches = 0;       ///< stale hits caught by shadow-verify
   std::uint64_t put_invalidations = 0;       ///< entries dropped by overlapping puts
+  std::uint64_t put_invalidation_ops = 0;    ///< puts whose overlap invalidation
+                                             ///< dropped at least one cached entry
   std::uint64_t stale_puts_injected = 0;     ///< puts whose invalidation was skipped
   std::uint64_t storage_bitflips = 0;        ///< injected bit flips in S_w
   std::uint64_t breaker_trips = 0;           ///< closed/half-open -> open
@@ -88,28 +90,8 @@ struct Stats {
   std::uint64_t degraded_corrupt_drops = 0; ///< degraded serves refused because
                                             ///< the entry failed its checksum
 
-  // Read/write shape of the KV subsystem layered on this window (src/kv):
-  // fed through CachedWindow's note_kv_* hooks, zero for non-KV workloads.
-  std::uint64_t kv_bucket_reads = 0;      ///< main-bucket fetches issued by kv lookups
-  std::uint64_t kv_chain_reads = 0;       ///< overflow-chain follows (extra hops)
-  std::uint64_t kv_version_rereads = 0;   ///< stale-generation images re-read uncached
-  std::uint64_t put_invalidation_ops = 0; ///< puts whose overlap invalidation
-                                          ///< dropped at least one cached entry
-
-  // Replica convergence layer (docs/KV.md "Repair & convergence"):
-  // hinted handoff, read-repair and anti-entropy activity of the kv::Store.
-  std::uint64_t kv_hints_queued = 0;   ///< replica writes buffered as hints
-                                       ///< because the target was unreachable
-  std::uint64_t kv_hints_drained = 0;  ///< hints retired after the target
-                                       ///< recovered (applied or superseded)
-  std::uint64_t kv_hints_dropped = 0;  ///< hints lost to a full queue
-  std::uint64_t kv_read_repairs = 0;        ///< stale replicas rewritten inline
-                                            ///< by a divergence-observing get
-  std::uint64_t kv_antientropy_repairs = 0; ///< stale replicas rewritten by the
-                                            ///< background anti-entropy scan
-
   // Tail-latency robustness (docs/FAULTS.md §8): deadline budgets, SLOW
-  // observations, hedged replica reads and adaptive load shedding.
+  // observations and adaptive load shedding.
   std::uint64_t deadline_misses = 0;  ///< ops whose virtual-time budget ran
                                       ///< out (resolved degraded or kDeadline)
   std::uint64_t ops_shed = 0;         ///< ops refused admission by the AIMD
@@ -117,23 +99,8 @@ struct Stats {
   std::uint64_t slow_observations = 0;///< ops completed against a straggling
                                       ///< target (informational; never
                                       ///< quarantines)
-  std::uint64_t kv_hedged_gets = 0;   ///< kv gets that issued a backup read
-                                      ///< after the primary outran its quantile
-  std::uint64_t kv_hedge_wins = 0;    ///< hedged gets won by the backup replica
-  std::uint64_t kv_hedge_wasted = 0;  ///< hedges whose backup lost (or was
-                                      ///< unreachable): pure overhead
 
-  // Crash-restart durability (docs/DURABILITY.md): write-ahead journal,
-  // snapshot recovery and torn-tail handling of the kv::Store.
-  std::uint64_t kv_journal_appends = 0;      ///< acknowledged puts persisted to
-                                             ///< the simulated journal device
-  std::uint64_t kv_journal_replayed = 0;     ///< journal records applied during
-                                             ///< crash recovery
-  std::uint64_t kv_torn_records_dropped = 0; ///< records discarded at replay:
-                                             ///< torn tail or failed checksum
-  std::uint64_t kv_snapshot_loads = 0;       ///< snapshots restored at recovery
-  std::uint64_t kv_recovery_repairs = 0;     ///< dropped records re-pulled from
-                                             ///< live peer replicas
+  // Crash-restart durability (docs/DURABILITY.md).
   std::uint64_t crash_invalidations = 0;     ///< cached entries dropped because
                                              ///< their target restarted after a
                                              ///< wiped-memory crash (the entry
@@ -208,27 +175,11 @@ struct Stats {
     d.degraded_hits = degraded_hits - base.degraded_hits;
     d.degraded_expired = degraded_expired - base.degraded_expired;
     d.degraded_corrupt_drops = degraded_corrupt_drops - base.degraded_corrupt_drops;
-    d.kv_bucket_reads = kv_bucket_reads - base.kv_bucket_reads;
-    d.kv_chain_reads = kv_chain_reads - base.kv_chain_reads;
-    d.kv_version_rereads = kv_version_rereads - base.kv_version_rereads;
     d.put_invalidation_ops = put_invalidation_ops - base.put_invalidation_ops;
-    d.kv_hints_queued = kv_hints_queued - base.kv_hints_queued;
-    d.kv_hints_drained = kv_hints_drained - base.kv_hints_drained;
-    d.kv_hints_dropped = kv_hints_dropped - base.kv_hints_dropped;
-    d.kv_read_repairs = kv_read_repairs - base.kv_read_repairs;
-    d.kv_antientropy_repairs = kv_antientropy_repairs - base.kv_antientropy_repairs;
     d.deadline_misses = deadline_misses - base.deadline_misses;
     d.ops_shed = ops_shed - base.ops_shed;
     d.slow_observations = slow_observations - base.slow_observations;
-    d.kv_hedged_gets = kv_hedged_gets - base.kv_hedged_gets;
-    d.kv_hedge_wins = kv_hedge_wins - base.kv_hedge_wins;
-    d.kv_hedge_wasted = kv_hedge_wasted - base.kv_hedge_wasted;
-    d.kv_journal_appends = kv_journal_appends - base.kv_journal_appends;
-    d.kv_journal_replayed = kv_journal_replayed - base.kv_journal_replayed;
-    d.kv_torn_records_dropped = kv_torn_records_dropped - base.kv_torn_records_dropped;
     d.crash_invalidations = crash_invalidations - base.crash_invalidations;
-    d.kv_snapshot_loads = kv_snapshot_loads - base.kv_snapshot_loads;
-    d.kv_recovery_repairs = kv_recovery_repairs - base.kv_recovery_repairs;
     return d;
   }
 };

@@ -34,6 +34,7 @@
 #include "clampi/shedder.h"
 #include "clampi/stats.h"
 #include "datatype/datatype.h"
+#include "fault/fault.h"
 #include "rt/engine.h"
 
 namespace clampi {
@@ -116,13 +117,13 @@ class CachedWindow {
   /// (trace::RecordingWindow installs itself here). nullptr disables.
   void record_faults_to(trace::Trace* t) { fault_trace_ = t; }
 
-  /// One completed (non-throwing) untyped get(), as the cache classified
-  /// it. The chaos oracle (docs/CHAOS.md) taps this to know, per get,
-  /// whether the bytes in the user buffer came from the cache, the
-  /// network, or the bounded-staleness degraded path — the information it
-  /// needs to pick the right ground-truth check. Delivered after the data
-  /// is in place (including a shadow-verify re-serve), never on a get
-  /// that threw.
+  /// One completed (non-throwing) get(), typed or not, as the cache
+  /// classified it. The chaos oracle (docs/CHAOS.md) taps this to know,
+  /// per get, whether the bytes in the user buffer came from the cache,
+  /// the network, or the bounded-staleness degraded path — the
+  /// information it needs to pick the right ground-truth check. Delivered
+  /// after the data is in place (including a shadow-verify re-serve),
+  /// never on a get that threw. `bytes` is the packed payload size.
   struct GetObservation {
     int target = -1;
     std::uint64_t disp = 0;
@@ -174,31 +175,6 @@ class CachedWindow {
   void record_target_outcome(int target, bool success, bool fatal = false) {
     health_record(target, success, fatal);
   }
-
-  // --- KV-layer accounting hooks (src/kv, docs/KV.md) ---
-  // The DHT layered on this window reports the shape of its lookups so
-  // cache counters and KV counters land in one Stats block (and flow out
-  // through stats_to_info / the cache explorer together).
-  void note_kv_bucket_read() { ++core_->mutable_stats().kv_bucket_reads; }
-  void note_kv_chain_read() { ++core_->mutable_stats().kv_chain_reads; }
-  void note_kv_version_reread() { ++core_->mutable_stats().kv_version_rereads; }
-  // Convergence-layer accounting (docs/KV.md "Repair & convergence").
-  void note_kv_hint_queued() { ++core_->mutable_stats().kv_hints_queued; }
-  void note_kv_hint_drained() { ++core_->mutable_stats().kv_hints_drained; }
-  void note_kv_hint_dropped() { ++core_->mutable_stats().kv_hints_dropped; }
-  void note_kv_read_repair() { ++core_->mutable_stats().kv_read_repairs; }
-  void note_kv_antientropy_repair() { ++core_->mutable_stats().kv_antientropy_repairs; }
-  // Hedged-read accounting (docs/KV.md "Hedged reads").
-  void note_kv_hedged_get() { ++core_->mutable_stats().kv_hedged_gets; }
-  void note_kv_hedge_win() { ++core_->mutable_stats().kv_hedge_wins; }
-  void note_kv_hedge_wasted() { ++core_->mutable_stats().kv_hedge_wasted; }
-  // Durability accounting (docs/DURABILITY.md): write-ahead journal and
-  // crash-recovery activity of the kv::Store riding on this window.
-  void note_kv_journal_append() { ++core_->mutable_stats().kv_journal_appends; }
-  void note_kv_journal_replayed() { ++core_->mutable_stats().kv_journal_replayed; }
-  void note_kv_torn_record_dropped() { ++core_->mutable_stats().kv_torn_records_dropped; }
-  void note_kv_snapshot_load() { ++core_->mutable_stats().kv_snapshot_loads; }
-  void note_kv_recovery_repair() { ++core_->mutable_stats().kv_recovery_repairs; }
 
   /// Crash-restart wipe (docs/DURABILITY.md): drop the volatile
   /// client-side state a wiped-memory crash of *this* rank destroys. The
@@ -264,16 +240,32 @@ class CachedWindow {
                             // (becomes the entry's freshness stamp)
   };
 
+  /// The elements a typed get reads: `count` of `dtype`. A default
+  /// (null dtype) is an untyped or dense get: signature 0, one block.
+  struct Typed {
+    const dt::Datatype* dtype = nullptr;
+    std::size_t count = 0;
+  };
+
+  /// The get pipeline shared by both get() overloads: admission, breaker
+  /// pass-through, degraded read, cache access, result handling, breaker
+  /// probe, shadow verification, observer. `origin` receives the packed
+  /// payload of `bytes` read from (target, disp).
+  void get_staged(void* origin, std::size_t bytes, int target, std::size_t disp,
+                  Typed typed);
   void serve_cached(void* origin, std::uint32_t entry, std::size_t bytes);
-  void handle_result(const CacheCore::Result& res, void* origin, std::size_t bytes,
-                     int target, std::size_t disp);
-  void handle_typed_result(const CacheCore::Result& res, void* origin,
-                           const dt::Datatype& dtype, std::size_t count, int target,
-                           std::size_t disp, std::uint64_t sig, std::size_t bytes);
-  void issue_network_get(void* origin, std::size_t bytes, int target, std::size_t disp);
-  void issue_network_get_blocks(void* origin, int target, std::size_t disp,
-                                const rmasim::Process::Block* blocks,
-                                std::size_t nblocks, std::size_t bytes);
+  /// Serve or fetch the payload as the cache classified it. True: a full
+  /// hit was served from the cache.
+  bool handle_result(const CacheCore::Result& res, void* origin, std::size_t bytes,
+                     int target, std::size_t disp, Typed typed);
+  /// Fetch bytes [head, bytes) of the packed payload into origin + head
+  /// under the retry policy: one Process::get for a dense payload, the
+  /// remaining elements' flattened blocks otherwise.
+  void fetch_payload(void* origin, std::size_t head, std::size_t bytes, int target,
+                     std::size_t disp, Typed typed);
+  /// Throw the OpFailedError of a get refused or abandoned with `kind`.
+  [[noreturn]] void fail_get(fault::FailureKind kind, int target, std::size_t disp,
+                             std::size_t bytes);
   /// Run `issue_fn` under the retry policy: transient fault::OpFailedErrors
   /// back off in virtual time and re-issue up to max_retries times (within
   /// the epoch budget); anything else propagates.
@@ -350,14 +342,15 @@ class CachedWindow {
   void breaker_note(BreakerState before);
   /// A self-heal happened during access(): trace annotation + breaker.
   void note_heal(int target, std::size_t disp, std::size_t bytes);
-  /// Sampled double-check of a full hit against a direct remote get
-  /// (catches silent staleness). Quarantines + re-serves on mismatch.
+  /// Sampled double-check of a full hit against a direct remote fetch of
+  /// the same payload (catches silent staleness). Quarantines + re-serves
+  /// on mismatch.
   void shadow_verify(void* origin, std::size_t bytes, int target, std::size_t disp,
-                     std::uint32_t entry);
+                     Typed typed, std::uint32_t entry);
   /// Epoch-boundary integrity work: injected storage corruption (bit
   /// flips of cached bytes) followed by one bounded scrub slice.
   void integrity_epoch_tasks();
-  /// Deliver a GetObservation for a completed untyped get.
+  /// Deliver a GetObservation for a completed get.
   void notify_get(int target, std::size_t disp, std::size_t bytes, bool degraded,
                   bool healed);
 

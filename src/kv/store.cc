@@ -60,12 +60,6 @@ void validate(const StoreConfig& cfg, int nranks) {
   }
 }
 
-/// Control-flow signal for a won hedge race: thrown by maybe_hedge deep
-/// inside the primary's lookup, caught by get_impl, which then serves the
-/// backup's stashed result. Not an error — the unwound primary walk is
-/// simply abandoned.
-struct HedgeWon {};
-
 }  // namespace
 
 Store::Store(rmasim::Process& p, const StoreConfig& cfg)
@@ -208,16 +202,20 @@ void Store::insert_local(std::uint64_t key) {
   }
 }
 
-void Store::read_bucket(int server, std::uint32_t b, bool cached, GetMeta* m) {
-  const std::size_t bb = cfg_.layout.bucket_bytes();
-  const std::size_t disp = static_cast<std::size_t>(b) * bb;
+void Store::count_bucket_read(std::uint32_t b, GetMeta* m) {
   ++m->bucket_reads;
   if (b < main_buckets_) {
-    win_->note_kv_bucket_read();
+    ++counters_.bucket_reads;
   } else {
-    win_->note_kv_chain_read();
+    ++counters_.chain_reads;
     ++m->chain_follows;
   }
+}
+
+bool Store::read_bucket(int server, std::uint32_t b, bool cached, GetMeta* m) {
+  const std::size_t bb = cfg_.layout.bucket_bytes();
+  const std::size_t disp = static_cast<std::size_t>(b) * bb;
+  count_bucket_read(b, m);
   if (!cached) {
     win_->get_nocache(bucket_buf_.data(), bb, server, disp);
     feed_latency(server);
@@ -225,16 +223,17 @@ void Store::read_bucket(int server, std::uint32_t b, bool cached, GetMeta* m) {
     // The uncached path skips the resilient issue wrapper, so its
     // successes must count as probes by hand (half-open recovery).
     win_->record_target_outcome(server, /*success=*/true);
-    return;
+    return true;
   }
   win_->get(bucket_buf_.data(), bb, server, disp);
   if (win_->last_was_degraded()) m->degraded = true;
   if (win_->last_access() == AccessType::kHit) {
     ++m->cached_hits;  // local copy, nothing in flight: skip the flush
-  } else {
-    maybe_hedge(server, m);  // throws HedgeWon when the backup's answer wins
-    win_->flush(server);
+    return true;
   }
+  if (maybe_hedge(server, m)) return false;  // the backup's answer won
+  win_->flush(server);
+  return true;
 }
 
 void Store::feed_latency(int server) {
@@ -244,12 +243,12 @@ void Store::feed_latency(int server) {
   lat_est_[static_cast<std::size_t>(server)].add(t > now ? t - now : 0.0, now);
 }
 
-void Store::maybe_hedge(int server, GetMeta* m) {
+bool Store::maybe_hedge(int server, GetMeta* m) {
   const int backup = hedge_backup_;
   hedge_backup_ = -1;  // at most one race per lookup
   if (backup < 0 || backup == server || lat_est_.empty()) {
     feed_latency(server);
-    return;
+    return false;
   }
   const double now = p_->now_us();
   const double t_p = win_->outstanding_wait_us(server);
@@ -257,13 +256,13 @@ void Store::maybe_hedge(int server, GetMeta* m) {
   auto& est = lat_est_[static_cast<std::size_t>(server)];
   if (est.samples() < cfg_.hedge_min_samples || wait <= est.quantile()) {
     est.add(wait, now);
-    return;
+    return false;
   }
   // The primary's modelled wait is past the target's recent quantile:
   // race the next ring replica. A real hedging client only learns this by
   // waiting out the threshold, so charge it as compute before the backup
   // goes out.
-  win_->note_kv_hedged_get();
+  ++counters_.hedged_gets;
   m->hedged = true;
   const double theta = est.quantile();
   if (theta > 0.0) p_->compute_us(theta);
@@ -288,99 +287,92 @@ void Store::maybe_hedge(int server, GetMeta* m) {
       // disarmed itself exactly when it is needed most.
       lat_est_[static_cast<std::size_t>(backup)].add(
           t_b > tb0 ? t_b - tb0 : 0.0, tb0);
-      win_->note_kv_hedge_win();
+      ++counters_.hedge_wins;
       m->hedge_won = true;
       win_->flush(backup);
       win_->record_target_outcome(backup, /*success=*/true);
       win_->abandon_target(server);
       hedge_found_ = backup_found;
-      throw HedgeWon{};
+      return true;
     }
     // The primary would answer first after all: discard the backup's
     // pending completion — nobody will wait for it.
     win_->abandon_target(backup);
   }
-  win_->note_kv_hedge_wasted();
+  ++counters_.hedge_wasted;
   est.add(wait, now);  // the primary's wait was experienced end to end
+  return false;
+}
+
+template <class Fetch>
+Store::Lookup Store::find_slot(std::uint64_t key, Fetch&& fetch, SlotHit* hit) {
+  std::uint32_t b = bucket_index(key);
+  std::size_t hops = 0;
+  for (;;) {
+    const std::byte* img = fetch(b);
+    if (img == nullptr) return Lookup::kBackupWon;
+    const BucketHeader h = load_header(img);
+    CLAMPI_REQUIRE(h.count <= cfg_.layout.slots_per_bucket,
+                   "kv: bucket header count out of range");
+    for (std::uint32_t s = 0; s < h.count; ++s) {
+      const std::byte* slot = img + cfg_.layout.slot_offset(s);
+      const SlotMeta sm = load_slot_meta(slot);
+      if (sm.key != key) continue;
+      *hit = SlotHit{slot, sm, b, s};
+      return Lookup::kFound;
+    }
+    if (h.chain == kNoBucket) return Lookup::kMiss;
+    CLAMPI_REQUIRE(h.chain < nbuckets_, "kv: chain link out of range");
+    b = h.chain;
+    CLAMPI_REQUIRE(++hops <= nbuckets_, "kv: chain cycle detected");
+  }
+}
+
+void Store::take_value(const SlotHit& hit, std::byte* value_out, GetMeta* m) {
+  CLAMPI_REQUIRE(hit.meta.len <= cfg_.layout.value_capacity,
+                 "kv: slot length exceeds value_capacity");
+  std::memcpy(value_out, hit.slot + Layout::kSlotHeaderBytes, hit.meta.len);
+  m->seq = hit.meta.seq;
+  m->len = hit.meta.len;
+  m->generation = generation_;
 }
 
 bool Store::lookup_backup_nowait(int server, std::uint64_t key, GetMeta* m) {
   const std::size_t bb = cfg_.layout.bucket_bytes();
-  std::uint32_t b = bucket_index(key);
-  std::size_t hops = 0;
-  for (;;) {
-    ++m->bucket_reads;
-    if (b < main_buckets_) {
-      win_->note_kv_bucket_read();
-    } else {
-      win_->note_kv_chain_read();
-      ++m->chain_follows;
-    }
+  SlotHit hit;
+  const Lookup found = find_slot(key, [&](std::uint32_t b) -> const std::byte* {
+    count_bucket_read(b, m);
     // Uncached and unflushed: eager data movement makes the bytes readable
     // immediately while the modelled completion stays pending, so the walk
     // can follow chains without committing to the backup's latency.
-    win_->get_nocache(hedge_buf_.data(), bb, server,
-                      static_cast<std::size_t>(b) * bb);
-    const BucketHeader h = load_header(hedge_buf_.data());
-    CLAMPI_REQUIRE(h.generation == generation_,
+    win_->get_nocache(hedge_buf_.data(), bb, server, static_cast<std::size_t>(b) * bb);
+    CLAMPI_REQUIRE(load_header(hedge_buf_.data()).generation == generation_,
                    "kv: server bucket carries unexpected generation");
-    CLAMPI_REQUIRE(h.count <= cfg_.layout.slots_per_bucket,
-                   "kv: bucket header count out of range");
-    for (std::uint32_t s = 0; s < h.count; ++s) {
-      const std::byte* slot = hedge_buf_.data() + cfg_.layout.slot_offset(s);
-      const SlotMeta sm = load_slot_meta(slot);
-      if (sm.key != key) continue;
-      CLAMPI_REQUIRE(sm.len <= cfg_.layout.value_capacity,
-                     "kv: slot length exceeds value_capacity");
-      std::memcpy(hedge_value_.data(), slot + Layout::kSlotHeaderBytes, sm.len);
-      m->seq = sm.seq;
-      m->len = sm.len;
-      m->generation = h.generation;
-      return true;
-    }
-    if (h.chain == kNoBucket) return false;
-    CLAMPI_REQUIRE(h.chain < nbuckets_, "kv: chain link out of range");
-    b = h.chain;
-    CLAMPI_REQUIRE(++hops <= nbuckets_, "kv: chain cycle detected");
-  }
+    return hedge_buf_.data();
+  }, &hit);
+  if (found != Lookup::kFound) return false;
+  take_value(hit, hedge_value_.data(), m);
+  return true;
 }
 
-bool Store::lookup_on(int server, std::uint64_t key, bool cached,
-                      std::byte* value_out, GetMeta* m) {
-  std::uint32_t b = bucket_index(key);
-  std::size_t hops = 0;
-  for (;;) {
-    read_bucket(server, b, cached, m);
-    BucketHeader h = load_header(bucket_buf_.data());
-    if (h.generation != generation_ && cached) {
+Store::Lookup Store::lookup_on(int server, std::uint64_t key, bool cached,
+                               std::byte* value_out, GetMeta* m) {
+  SlotHit hit;
+  const Lookup found = find_slot(key, [&](std::uint32_t b) -> const std::byte* {
+    if (!read_bucket(server, b, cached, m)) return nullptr;
+    if (cached && load_header(bucket_buf_.data()).generation != generation_) {
       // Cached image predates the current owner-side write epoch (reload):
       // versioned re-read straight from the server.
-      win_->note_kv_version_reread();
+      ++counters_.version_rereads;
       m->version_reread = true;
       read_bucket(server, b, /*cached=*/false, m);
-      h = load_header(bucket_buf_.data());
     }
-    CLAMPI_REQUIRE(h.generation == generation_,
+    CLAMPI_REQUIRE(load_header(bucket_buf_.data()).generation == generation_,
                    "kv: server bucket carries unexpected generation");
-    CLAMPI_REQUIRE(h.count <= cfg_.layout.slots_per_bucket,
-                   "kv: bucket header count out of range");
-    for (std::uint32_t s = 0; s < h.count; ++s) {
-      const std::byte* slot = bucket_buf_.data() + cfg_.layout.slot_offset(s);
-      const SlotMeta sm = load_slot_meta(slot);
-      if (sm.key != key) continue;
-      CLAMPI_REQUIRE(sm.len <= cfg_.layout.value_capacity,
-                     "kv: slot length exceeds value_capacity");
-      std::memcpy(value_out, slot + Layout::kSlotHeaderBytes, sm.len);
-      m->seq = sm.seq;
-      m->len = sm.len;
-      m->generation = h.generation;
-      return true;
-    }
-    if (h.chain == kNoBucket) return false;
-    CLAMPI_REQUIRE(h.chain < nbuckets_, "kv: chain link out of range");
-    b = h.chain;
-    CLAMPI_REQUIRE(++hops <= nbuckets_, "kv: chain cycle detected");
-  }
+    return bucket_buf_.data();
+  }, &hit);
+  if (found == Lookup::kFound) take_value(hit, value_out, m);
+  return found;
 }
 
 bool Store::get_impl(std::uint64_t key, std::byte* value_out, GetMeta* meta,
@@ -398,8 +390,18 @@ bool Store::get_impl(std::uint64_t key, std::byte* value_out, GetMeta* meta,
       hedge_key_ = key;
     }
     try {
-      const bool found = lookup_on(reps[pos], key, cached, value_out, m);
+      const Lookup walk = lookup_on(reps[pos], key, cached, value_out, m);
       hedge_backup_ = -1;
+      if (walk == Lookup::kBackupWon) {
+        // The backup replica answered first; its stashed result is
+        // authoritative (reconciliation is to the highest seq, and a hedge
+        // win serves exactly what a fall-through to that replica would).
+        if (hedge_found_) std::memcpy(value_out, hedge_value_.data(), m->len);
+        m->server = reps[1];
+        m->replica_pos = 1;
+        return hedge_found_;
+      }
+      const bool found = walk == Lookup::kFound;
       // Membership is identical on every replica (update-only store), so a
       // clean miss on a reachable replica is authoritative.
       m->server = reps[pos];
@@ -416,15 +418,6 @@ bool Store::get_impl(std::uint64_t key, std::byte* value_out, GetMeta* meta,
         read_repair(key, pos, reps, value_out, m);
       }
       return found;
-    } catch (const HedgeWon&) {
-      // The backup replica answered first; its stashed result is
-      // authoritative (reconciliation is to the highest seq, and a hedge
-      // win serves exactly what a fall-through to that replica would).
-      hedge_backup_ = -1;
-      if (hedge_found_) std::memcpy(value_out, hedge_value_.data(), m->len);
-      m->server = reps[1];
-      m->replica_pos = 1;
-      return hedge_found_;
     } catch (const fault::OpFailedError& e) {
       hedge_backup_ = -1;
       if (e.failure() == fault::FailureKind::kShed) {
@@ -477,27 +470,15 @@ bool Store::locate_on(int server, std::uint64_t key, bool cached, Locator* loc) 
     return true;
   }
   GetMeta scratch;
-  std::uint32_t b = bucket_index(key);
-  std::size_t hops = 0;
-  for (;;) {
-    read_bucket(server, b, cached, &scratch);
-    const BucketHeader h = load_header(bucket_buf_.data());
-    CLAMPI_REQUIRE(h.count <= cfg_.layout.slots_per_bucket,
-                   "kv: bucket header count out of range");
-    for (std::uint32_t s = 0; s < h.count; ++s) {
-      const SlotMeta sm =
-          load_slot_meta(bucket_buf_.data() + cfg_.layout.slot_offset(s));
-      if (sm.key != key) continue;
-      loc->bucket = b;
-      loc->slot = s;
-      memo.emplace(key, *loc);  // placement is immutable after load
-      return true;
-    }
-    if (h.chain == kNoBucket) return false;
-    CLAMPI_REQUIRE(h.chain < nbuckets_, "kv: chain link out of range");
-    b = h.chain;
-    CLAMPI_REQUIRE(++hops <= nbuckets_, "kv: chain cycle detected");
-  }
+  SlotHit hit;
+  const Lookup found = find_slot(key, [&](std::uint32_t b) -> const std::byte* {
+    return read_bucket(server, b, cached, &scratch) ? bucket_buf_.data() : nullptr;
+  }, &hit);
+  if (found != Lookup::kFound) return false;
+  loc->bucket = hit.bucket;
+  loc->slot = hit.index;
+  memo.emplace(key, *loc);  // placement is immutable after load
+  return true;
 }
 
 bool Store::put(std::uint64_t key, std::uint32_t seq, const std::byte* value,
@@ -600,7 +581,7 @@ bool Store::queue_hint(int server, std::uint64_t key, std::uint32_t seq,
   auto it = q.find(key);
   if (it == q.end()) {
     if (q.size() >= cfg_.hint_queue_cap) {
-      win_->note_kv_hint_dropped();
+      ++counters_.hints_dropped;
       return false;
     }
     it = q.emplace(key, Hint{}).first;
@@ -610,7 +591,7 @@ bool Store::queue_hint(int server, std::uint64_t key, std::uint32_t seq,
   it->second.seq = seq;
   it->second.len = len;
   it->second.value.assign(value, value + len);
-  win_->note_kv_hint_queued();
+  ++counters_.hints_queued;
   return true;
 }
 
@@ -663,7 +644,7 @@ void Store::drain_hints_for(int server) {
         write_slot_on(server, key, repair_slot_.data(),
                       Layout::kSlotHeaderBytes + h.len, /*cached_locate=*/false);
       }
-      win_->note_kv_hint_drained();
+      ++counters_.hints_drained;
       it = q.erase(it);
     } catch (const fault::OpFailedError&) {
       // The target went unreachable again mid-drain: keep the remaining
@@ -724,7 +705,7 @@ void Store::read_repair(std::uint64_t key, int served_pos, const int* reps,
       continue;  // went unreachable mid-repair; the background scan retries
     }
     ++m->read_repairs;
-    win_->note_kv_read_repair();
+    ++counters_.read_repairs;
     if (pos == served_pos) served_caught_up = true;
   }
   // Serve the freshest value only if the serving replica now carries it:
@@ -786,7 +767,7 @@ std::uint64_t Store::anti_entropy_step(std::uint64_t max_keys) {
         continue;
       }
       ++repairs;
-      win_->note_kv_antientropy_repair();
+      ++counters_.antientropy_repairs;
     }
   }
   return repairs;
@@ -856,7 +837,7 @@ void Store::journal_write(int server, std::uint64_t key, std::uint32_t seq,
   Device* d = device(server);
   if (d == nullptr) return;
   const Journal::AppendResult r = d->journal.append(key, seq, value, len);
-  win_->note_kv_journal_append();
+  ++counters_.journal_appends;
   // Group commit amortizes the sync: every group_commit_n-th append pays
   // the full sync latency, the rest the cheap buffered append. Charged on
   // the writing client's clock — the baton serializes device access, so
@@ -956,7 +937,7 @@ void Store::recover_server(int due) {
     const std::vector<std::byte>* img = dev->snapshots.latest_valid();
     if (img != nullptr && img->size() == shard_bytes_) {
       std::memcpy(base_, img->data(), shard_bytes_);
-      win_->note_kv_snapshot_load();
+      ++counters_.snapshot_loads;
       from_snapshot = true;
     }
   }
@@ -986,11 +967,9 @@ void Store::recover_server(int due) {
       const SlotMeta cur = load_slot_meta(slot);
       if (rec.seq <= cur.seq) continue;  // snapshot already carries it
       compose_slot(rec.key, rec.seq, rec.len, rec.value, slot);
-      win_->note_kv_journal_replayed();
+      ++counters_.journal_replayed;
     }
-    for (std::uint64_t i = 0; i < rep.dropped; ++i) {
-      win_->note_kv_torn_record_dropped();
-    }
+    counters_.torn_records_dropped += rep.dropped;
     suspects = rep.suspect_keys;
     const double replay_cost =
         cfg_.journal_append_us *
@@ -1029,7 +1008,7 @@ void Store::recover_server(int due) {
       if (found) {
         const SlotMeta fm = load_slot_meta(repair_slot_.data());
         std::memcpy(slot, repair_slot_.data(), Layout::kSlotHeaderBytes + fm.len);
-        win_->note_kv_recovery_repair();
+        ++counters_.recovery_repairs;
       }
     }
   }

@@ -151,6 +151,42 @@ struct GetMeta {
   bool deadline = false;  ///< the op's deadline budget ran out (kDeadline)
 };
 
+/// Counters of one rank's Store (docs/KV.md, "Counter plumbing"). Like the
+/// CachedWindow's clampi::Stats they model external observability, so a
+/// crash restart's wipe keeps them.
+struct StoreCounters {
+  // Read shape of the lookups.
+  std::uint64_t bucket_reads = 0;     ///< main-bucket fetches issued by lookups
+  std::uint64_t chain_reads = 0;      ///< overflow-chain follows (extra hops)
+  std::uint64_t version_rereads = 0;  ///< stale-generation images re-read uncached
+  // Replica convergence (docs/KV.md "Repair & convergence").
+  std::uint64_t hints_queued = 0;   ///< replica writes buffered as hints
+                                    ///< because the target was unreachable
+  std::uint64_t hints_drained = 0;  ///< hints retired after the target
+                                    ///< recovered (applied or superseded)
+  std::uint64_t hints_dropped = 0;  ///< hints lost to a full queue
+  std::uint64_t read_repairs = 0;         ///< stale replicas rewritten inline
+                                          ///< by a divergence-observing get
+  std::uint64_t antientropy_repairs = 0;  ///< stale replicas rewritten by the
+                                          ///< background anti-entropy scan
+  // Hedged reads (docs/KV.md "Hedged reads").
+  std::uint64_t hedged_gets = 0;   ///< gets that issued a backup read after
+                                   ///< the primary outran its quantile
+  std::uint64_t hedge_wins = 0;    ///< hedged gets won by the backup replica
+  std::uint64_t hedge_wasted = 0;  ///< hedges whose backup lost (or was
+                                   ///< unreachable): pure overhead
+  // Crash-restart durability (docs/DURABILITY.md).
+  std::uint64_t journal_appends = 0;       ///< acknowledged writes persisted to
+                                           ///< the simulated journal device
+  std::uint64_t journal_replayed = 0;      ///< journal records applied during
+                                           ///< crash recovery
+  std::uint64_t torn_records_dropped = 0;  ///< records discarded at replay:
+                                           ///< torn tail or failed checksum
+  std::uint64_t snapshot_loads = 0;        ///< snapshots restored at recovery
+  std::uint64_t recovery_repairs = 0;      ///< dropped records re-pulled from
+                                           ///< live peer replicas
+};
+
 struct PutMeta {
   int applied = 0;                 ///< replicas that accepted the write
   int skipped = 0;                 ///< replicas skipped as unreachable
@@ -271,6 +307,7 @@ class Store {
 
   // --- introspection ---
   CachedWindow& window() { return *win_; }
+  const StoreCounters& counters() const { return counters_; }
   const Ring& ring() const { return ring_; }
   const StoreConfig& config() const { return cfg_; }
   std::uint64_t generation() const { return generation_; }
@@ -289,13 +326,34 @@ class Store {
     std::uint32_t slot = 0;
   };
 
+  /// Outcome of one chain walk.
+  enum class Lookup { kMiss, kFound, kBackupWon };
+  /// A key's slot as a chain walk found it.
+  struct SlotHit {
+    const std::byte* slot = nullptr;  ///< inside the fetched bucket image
+    SlotMeta meta;
+    std::uint32_t bucket = 0;
+    std::uint32_t index = 0;
+  };
+
   /// Fetch bucket `b` of `server` into bucket_buf_. Cached reads skip the
-  /// flush on a full hit (no network op was issued). Throws
-  /// fault::OpFailedError when the server is unreachable.
-  void read_bucket(int server, std::uint32_t b, bool cached, GetMeta* m);
-  /// Walk the chain on one server. True: key found, value copied out.
-  bool lookup_on(int server, std::uint64_t key, bool cached, std::byte* value_out,
-                 GetMeta* m);
+  /// flush on a full hit (no network op was issued). False: an armed hedge
+  /// raced the fetch and the backup won (bucket_buf_ holds nothing
+  /// useful; the backup's result is stashed). Throws fault::OpFailedError
+  /// when the server is unreachable.
+  bool read_bucket(int server, std::uint32_t b, bool cached, GetMeta* m);
+  /// Count one bucket fetch of a lookup (main bucket or chain follow).
+  void count_bucket_read(std::uint32_t b, GetMeta* m);
+  /// Walk `key`'s bucket chain: `fetch(b)` returns bucket b's image
+  /// (nullptr abandons the walk as kBackupWon); the header's slot count
+  /// and chain link are checked here, generations by the caller's fetch.
+  template <class Fetch>
+  Lookup find_slot(std::uint64_t key, Fetch&& fetch, SlotHit* hit);
+  /// Copy a found slot's value out and record seq/len/generation in `m`.
+  void take_value(const SlotHit& hit, std::byte* value_out, GetMeta* m);
+  /// Walk the chain on one server. kFound: value copied out.
+  Lookup lookup_on(int server, std::uint64_t key, bool cached, std::byte* value_out,
+                   GetMeta* m);
   /// Find the key's (bucket, slot) on one server, memoized (slot placement
   /// is immutable after load).
   bool locate_on(int server, std::uint64_t key, bool cached, Locator* loc);
@@ -328,11 +386,11 @@ class Store {
   /// fetch currently outstanding against `server` (no-op with hedging off).
   void feed_latency(int server);
   /// Hedge decision point: called by read_bucket on a cached miss against
-  /// `server` with the fetch outstanding. May race the armed backup and,
-  /// when the backup wins, throws HedgeWon (caught by get_impl) after
-  /// stashing the backup's result. Otherwise returns with the primary's
-  /// fetch still outstanding (read_bucket flushes as usual).
-  void maybe_hedge(int server, GetMeta* m);
+  /// `server` with the fetch outstanding. May race the armed backup; true
+  /// when the backup won, after stashing its result (get_impl serves it).
+  /// Otherwise the primary's fetch is still outstanding (read_bucket
+  /// flushes as usual).
+  bool maybe_hedge(int server, GetMeta* m);
   std::uint32_t bucket_index(std::uint64_t key) const;
   std::uint32_t initial_len(std::uint64_t key) const;
   void load_shard();
@@ -368,6 +426,7 @@ class Store {
   std::vector<std::byte> bucket_buf_;
   std::vector<std::byte> slot_buf_;
   std::vector<std::unordered_map<std::uint64_t, Locator>> loc_cache_;  // per server
+  StoreCounters counters_;
 
   // --- replica convergence state (docs/KV.md "Repair & convergence") ---
   struct Hint {

@@ -299,38 +299,132 @@ TEST(IntegrityWindow, PutInsideTypedGetFootprintInvalidates) {
 // --- stale-put injection caught by shadow-verify (window) ---
 
 TEST(IntegrityWindow, StalePutCaughtByShadowVerify) {
+  // The same stale hit read through both get overloads: untyped (one
+  // dense block) and a strided datatype packing 64 bytes from the target
+  // range [256, 352). Shadow verification is a stage of the one get
+  // pipeline, so both must catch it.
+  for (const bool typed : {false, true}) {
+    fault::Plan plan;
+    plan.stale_puts(1.0);  // every put skips its invalidation
+    auto inj = std::make_shared<fault::Injector>(plan);
+    Engine e(engine_cfg(2, inj));
+    e.run([typed](Process& p) {
+      SCOPED_TRACE(typed ? "strided typed get" : "untyped get");
+      void* base = nullptr;
+      Config ccfg = cache_cfg(Mode::kAlwaysCache);
+      ccfg.shadow_verify_every_n = 1;  // double-check every full hit
+      auto win = CachedWindow::allocate(p, 4096, &base, ccfg);
+      fill_pattern(base, 4096, p.rank());
+      p.barrier();
+      if (p.rank() == 0) {
+        const auto strided = dt::Datatype::vector(2, 32, 64, dt::Datatype::contiguous(1));
+        ASSERT_EQ(strided.size(), 64u);
+        std::vector<std::uint8_t> buf(64);
+        const auto read = [&] {
+          if (typed) {
+            win.get(buf.data(), strided, 1, 1, 256);
+          } else {
+            win.get(buf.data(), 64, 1, 256);
+          }
+          win.flush_all();
+        };
+        win.lock_all();
+        read();
+
+        std::vector<std::uint8_t> fresh(96, 0xCD);
+        win.put(fresh.data(), fresh.size(), 1, 256);
+        win.flush_all();
+        EXPECT_EQ(win.stats().stale_puts_injected, 1u);
+        EXPECT_EQ(win.stats().put_invalidations, 0u);  // the bug: none happened
+
+        // The hit serves stale bytes; the sampled shadow fetch catches the
+        // mismatch, quarantines the entry and re-serves the fresh payload.
+        read();
+        EXPECT_EQ(win.last_access(), AccessType::kHit);
+        for (int j = 0; j < 64; ++j) ASSERT_EQ(buf[static_cast<std::size_t>(j)], 0xCD);
+        EXPECT_GE(win.stats().shadow_verifications, 1u);
+        EXPECT_EQ(win.stats().shadow_mismatches, 1u);
+        EXPECT_GE(win.stats().self_heals, 1u);
+        EXPECT_EQ(win.core().find_cached(Key{1, 256}), kNoEntry);  // quarantined
+        win.unlock_all();
+      }
+      p.barrier();
+      win.free_window();
+    });
+  }
+}
+
+TEST(IntegrityWindow, TypedGetsReachTheGetObserver) {
+  // One GetObservation per completed strided get, whichever stage served
+  // it: a miss, a hit, a degraded serve of a partitioned target, a healed
+  // hit that trips the breaker and a breaker pass-through. A get that
+  // throws is never observed.
+  const double kPartFrom = 1000.0, kPartUntil = 2000.0;
   fault::Plan plan;
-  plan.stale_puts(1.0);  // every put skips its invalidation
-  auto inj = std::make_shared<fault::Injector>(plan);
-  Engine e(engine_cfg(2, inj));
-  e.run([](Process& p) {
+  plan.partition(0, 1, kPartFrom, kPartUntil);
+  Engine e(engine_cfg(2, std::make_shared<fault::Injector>(plan)));
+  e.run([=](Process& p) {
     void* base = nullptr;
     Config ccfg = cache_cfg(Mode::kAlwaysCache);
-    ccfg.shadow_verify_every_n = 1;  // double-check every full hit
+    ccfg.degraded_reads = true;
+    ccfg.verify_every_n = 1;
+    ccfg.breaker_failure_threshold = 1;  // the first heal trips it
+    ccfg.breaker_window_us = 1e6;
+    ccfg.breaker_open_us = 1e6;
     auto win = CachedWindow::allocate(p, 4096, &base, ccfg);
     fill_pattern(base, 4096, p.rank());
     p.barrier();
     if (p.rank() == 0) {
+      std::vector<CachedWindow::GetObservation> seen;
+      win.observe_gets([&](const CachedWindow::GetObservation& o) { seen.push_back(o); });
+      const auto strided = dt::Datatype::vector(4, 8, 16, dt::Datatype::contiguous(1));
+      ASSERT_FALSE(strided.is_contiguous());
+      std::vector<std::uint8_t> buf(strided.size());
+      const auto get_at = [&](std::size_t disp) {
+        win.get(buf.data(), strided, 1, 1, disp);
+        win.flush_all();
+        for (std::size_t j = 0; j < buf.size(); ++j) {
+          ASSERT_EQ(buf[j], pattern_at(disp + j / 8 * 16 + j % 8, 1)) << "byte " << j;
+        }
+      };
+      const auto expect_last = [&](std::size_t n, AccessType type, bool degraded,
+                                   bool healed, std::size_t disp) {
+        ASSERT_EQ(seen.size(), n);
+        const CachedWindow::GetObservation& o = seen.back();
+        EXPECT_EQ(o.type, type);
+        EXPECT_EQ(o.degraded, degraded);
+        EXPECT_EQ(o.healed, healed);
+        EXPECT_EQ(o.target, 1);
+        EXPECT_EQ(o.disp, disp);
+        EXPECT_EQ(o.bytes, strided.size());
+      };
       win.lock_all();
-      std::vector<std::uint8_t> buf(64);
-      win.get(buf.data(), 64, 1, 256);
-      win.flush_all();
+      get_at(0);
+      expect_last(1, AccessType::kDirect, false, false, 0);
+      get_at(0);
+      expect_last(2, AccessType::kHit, false, false, 0);
 
-      std::vector<std::uint8_t> fresh(64, 0xCD);
-      win.put(fresh.data(), 64, 1, 256);
-      win.flush_all();
-      EXPECT_EQ(win.stats().stale_puts_injected, 1u);
-      EXPECT_EQ(win.stats().put_invalidations, 0u);  // the bug: none happened
+      // Partitioned: the cached entry serves degraded; an uncached one
+      // throws and is not observed.
+      p.compute_us(kPartFrom - p.now_us() + 1.0);
+      get_at(0);
+      expect_last(3, AccessType::kHit, true, false, 0);
+      EXPECT_THROW(win.get(buf.data(), strided, 1, 1, 512), fault::OpFailedError);
+      EXPECT_EQ(seen.size(), 3u);
 
-      // The hit serves stale bytes; the sampled shadow fetch catches the
-      // mismatch, quarantines the entry and re-serves the fresh payload.
-      win.get(buf.data(), 64, 1, 256);
-      win.flush_all();
-      for (int j = 0; j < 64; ++j) ASSERT_EQ(buf[static_cast<std::size_t>(j)], 0xCD);
-      EXPECT_GE(win.stats().shadow_verifications, 1u);
-      EXPECT_EQ(win.stats().shadow_mismatches, 1u);
-      EXPECT_GE(win.stats().self_heals, 1u);
-      EXPECT_EQ(win.core().find_cached(Key{1, 256}), kNoEntry);  // quarantined
+      // Healed again: rot in the entry is caught and re-fetched, which
+      // trips the breaker; the next get passes through it.
+      p.compute_us(kPartUntil - p.now_us() + 1.0);
+      const std::uint32_t id = win.core().find_cached(Key{1, 0});
+      ASSERT_NE(id, kNoEntry);
+      win.core().entry_data(id)[3] ^= std::byte{0x10};
+      get_at(0);
+      expect_last(4, AccessType::kDirect, false, true, 0);
+      ASSERT_EQ(win.breaker_state(), BreakerState::kOpen);
+      get_at(1024);
+      expect_last(5, AccessType::kDirect, false, false, 1024);
+      EXPECT_EQ(win.stats().breaker_passthrough_gets, 1u);
+      EXPECT_EQ(win.stats().degraded_hits, 1u);
       win.unlock_all();
     }
     p.barrier();

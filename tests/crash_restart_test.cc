@@ -243,7 +243,7 @@ void run_crash_cycle(Process& p, kv::Store& store, const kv::StoreConfig& cfg,
         }
       }
     }
-    EXPECT_GT(store.window().stats().kv_journal_appends, 0u);
+    EXPECT_GT(store.counters().journal_appends, 0u);
     store.window().unlock_all();
   }
   p.barrier();  // all writes acked, strictly before the crash instant
@@ -283,10 +283,10 @@ void run_crash_cycle(Process& p, kv::Store& store, const kv::StoreConfig& cfg,
     EXPECT_EQ(lost, 0u) << "acknowledged writes lost across the crash";
     store.window().unlock_all();
   } else if (p.rank() == 1 && probe != nullptr) {
-    const Stats& st = store.window().stats();
-    probe->replayed = st.kv_journal_replayed;
-    probe->torn_dropped = st.kv_torn_records_dropped;
-    probe->snapshot_loads = st.kv_snapshot_loads;
+    const kv::StoreCounters& kc = store.counters();
+    probe->replayed = kc.journal_replayed;
+    probe->torn_dropped = kc.torn_records_dropped;
+    probe->snapshot_loads = kc.snapshot_loads;
     probe->restarts_handled = store.crash_restarts_handled();
   }
   p.barrier();
@@ -334,6 +334,43 @@ TEST(CrashRestart, KvSnapshotBoundsReplayAndRestores) {
   });
   EXPECT_GE(probe->snapshot_loads, 1u);
   EXPECT_EQ(probe->restarts_handled, 1);
+}
+
+TEST(CrashRestart, KvCountersSurviveAClientWipe) {
+  // A client's reboot wipes its cache, hint queues and tail state; the
+  // store's counters, like the window's Stats, model external
+  // observability and survive it.
+  const double kCrashUs = 30000.0, kRestartUs = 40000.0;
+  const std::uint64_t kKeys = 50;
+  fault::Plan plan;
+  plan.crash_rank(2, kCrashUs, kRestartUs);
+  Engine e(engine_cfg(3, std::make_shared<fault::Injector>(plan)));
+  e.run([=](Process& p) {
+    const kv::StoreConfig cfg = durable_cfg(kKeys);
+    kv::Store store(p, cfg);
+    if (p.rank() == 2) {
+      std::vector<std::byte> buf(cfg.layout.value_capacity);
+      store.window().lock_all();
+      for (std::uint64_t i = 0; i < kKeys; ++i) {
+        ASSERT_TRUE(store.get(store.key_at(i), buf.data()));
+      }
+      store.window().unlock_all();
+      const kv::StoreCounters before = store.counters();
+      const std::uint64_t gets_before = store.window().stats().total_gets;
+      ASSERT_GE(before.bucket_reads, kKeys);
+      ASSERT_GT(store.window().core().cached_entries(), 0u);
+
+      advance_to(p, kRestartUs + 1.0);
+      store.crash_tick();
+      ASSERT_EQ(store.crash_restarts_handled(), 1);
+      EXPECT_EQ(store.window().core().cached_entries(), 0u);  // wiped
+      EXPECT_EQ(store.counters().bucket_reads, before.bucket_reads);
+      EXPECT_EQ(store.counters().chain_reads, before.chain_reads);
+      EXPECT_EQ(store.window().stats().total_gets, gets_before);
+    }
+    p.barrier();
+    store.free_window();
+  });
 }
 
 }  // namespace

@@ -96,8 +96,8 @@ TEST(KvRepair, HintedHandoffDrainsAfterRevival) {
         }
       }
       EXPECT_EQ(store.hints_pending(), 40u);
-      EXPECT_EQ(store.window().stats().kv_hints_queued, 80u);
-      EXPECT_EQ(store.window().stats().kv_hints_dropped, 0u);
+      EXPECT_EQ(store.counters().hints_queued, 80u);
+      EXPECT_EQ(store.counters().hints_dropped, 0u);
 
       // Heal, let the health machine recover (quarantine -> probing ->
       // healthy fires the store's drain callback), then replay the queue.
@@ -105,7 +105,7 @@ TEST(KvRepair, HintedHandoffDrainsAfterRevival) {
       ASSERT_TRUE(await_healthy(store, 1));
       store.drain_hints();
       EXPECT_EQ(store.hints_pending(), 0u);
-      EXPECT_EQ(store.window().stats().kv_hints_drained, 40u);
+      EXPECT_EQ(store.counters().hints_drained, 40u);
 
       const auto rep = store.verify_convergence();
       EXPECT_EQ(rep.keys_checked, cfg.nkeys);
@@ -138,14 +138,14 @@ TEST(KvRepair, HintQueueCapBoundsMemoryAndCountsDrops) {
       }
       // 4 distinct keys fit; the 6 others are dropped and counted.
       EXPECT_EQ(store.hints_pending(), 4u);
-      EXPECT_EQ(store.window().stats().kv_hints_queued, 4u);
-      EXPECT_EQ(store.window().stats().kv_hints_dropped, 6u);
+      EXPECT_EQ(store.counters().hints_queued, 4u);
+      EXPECT_EQ(store.counters().hints_dropped, 6u);
       // Coalescing bypasses the cap: updating an already-hinted key
       // replaces its payload instead of consuming a new slot.
       kv::fill_value(store.key_at(0), 2, 16, buf.data());
       store.put(store.key_at(0), 2, buf.data(), 16);
       EXPECT_EQ(store.hints_pending(), 4u);
-      EXPECT_EQ(store.window().stats().kv_hints_queued, 5u);
+      EXPECT_EQ(store.counters().hints_queued, 5u);
       store.window().unlock_all();
     }
     p.barrier();
@@ -193,7 +193,7 @@ TEST(KvRepair, ReadRepairHealsPartitionStaledReplica) {
         repairs += static_cast<std::uint64_t>(m.read_repairs);
       }
       EXPECT_EQ(repairs, 30u);
-      EXPECT_EQ(store.window().stats().kv_read_repairs, repairs);
+      EXPECT_EQ(store.counters().read_repairs, repairs);
       const auto rep = store.verify_convergence();
       EXPECT_EQ(rep.keys_divergent, 0u);
       EXPECT_EQ(rep.keys_unreachable, 0u);
@@ -228,8 +228,8 @@ TEST(KvRepair, AntiEntropyConvergesWithZeroClientTraffic) {
       std::uint64_t repairs = 0;
       for (int step = 0; step < 12; ++step) repairs += store.anti_entropy_step();
       EXPECT_EQ(repairs, 30u);
-      EXPECT_EQ(store.window().stats().kv_antientropy_repairs, repairs);
-      EXPECT_EQ(store.window().stats().kv_read_repairs, 0u);
+      EXPECT_EQ(store.counters().antientropy_repairs, repairs);
+      EXPECT_EQ(store.counters().read_repairs, 0u);
       EXPECT_EQ(store.hints_pending(), 0u);
       const auto rep = store.verify_convergence();
       EXPECT_EQ(rep.keys_divergent, 0u);

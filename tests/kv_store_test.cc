@@ -162,7 +162,7 @@ TEST(KvStore, OversubscribedLoadFactorForcesChains) {
         chain_follows += static_cast<std::uint64_t>(m.chain_follows);
       }
       EXPECT_GT(chain_follows, 0u);
-      EXPECT_EQ(store.window().stats().kv_chain_reads, chain_follows);
+      EXPECT_EQ(store.counters().chain_reads, chain_follows);
       store.window().unlock_all();
     }
     p.barrier();
@@ -286,7 +286,7 @@ TEST(KvStore, StaleGenerationTriggersVersionedReread) {
         if (m.version_reread) ++rereads;
       }
       EXPECT_GT(rereads, 0u);
-      EXPECT_EQ(store.window().stats().kv_version_rereads, rereads);
+      EXPECT_EQ(store.counters().version_rereads, rereads);
       store.window().unlock_all();
     }
     p.barrier();
