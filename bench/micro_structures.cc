@@ -15,8 +15,13 @@
 #include "clampi/storage.h"
 #include "graph/lcc.h"
 #include "graph/rmat.h"
+#include "kv/ring.h"
+#include "kv/store.h"
+#include "netmodel/model.h"
+#include "rt/engine.h"
 #include "util/avl_tree.h"
 #include "util/rng.h"
+#include "util/skew.h"
 
 using namespace clampi;
 
@@ -267,6 +272,56 @@ BENCHMARK_CAPTURE(BM_LccIntersect, marker, LccKernel::kMarker)
     ->Args({8, 8})
     ->Args({4096, 8})
     ->Args({4096, 4096});
+
+// The ring rung (docs/PERF.md "Store construction"): one replicas() call
+// per key, as every get, put and shard load makes. Args: servers, vnodes
+// per server, replicas per key.
+void BM_RingReplicas(benchmark::State& state) {
+  const auto nservers = static_cast<int>(state.range(0));
+  const kv::Ring ring(nservers, static_cast<int>(state.range(1)), 0x6b7653eedull);
+  const auto count = static_cast<int>(state.range(2));
+  int reps[kv::kMaxReplicas];
+  std::uint64_t i = 0;
+  int sum = 0;
+  for (auto _ : state) {
+    ring.replicas(util::mix64(i++), count, reps);
+    sum += reps[count - 1];
+  }
+  benchmark::DoNotOptimize(sum);
+}
+BENCHMARK(BM_RingReplicas)->Args({2, 64, 1})->Args({2, 64, 2})->Args({16, 256, 3});
+
+// The shard load rung: building a one-server kv::Store of 2^18 keys on the
+// modelled engine (window, lazy cache arena, ring walk, bucket inserts).
+// Only the constructor is timed; `per_key` is its time per loaded key.
+void BM_StoreLoad(benchmark::State& state) {
+  kv::StoreConfig cfg;
+  cfg.nkeys = std::uint64_t{1} << 18;
+  cfg.nservers = 1;
+  cfg.cache.mode = Mode::kUserDefined;
+  cfg.cache.adaptive = false;
+  cfg.cache.index_entries = std::size_t{1} << 17;
+  cfg.cache.storage_bytes = std::size_t{64} << 20;
+  rmasim::Engine::Config ecfg;
+  ecfg.nranks = 1;
+  ecfg.model = std::make_shared<net::FlatModel>(2.0, 0.001);
+  ecfg.time_policy = rmasim::TimePolicy::kModeled;
+  std::uint64_t loaded = 0;
+  for (auto _ : state) {
+    rmasim::Engine engine(ecfg);
+    engine.run([&](rmasim::Process& p) {
+      const auto start = std::chrono::steady_clock::now();
+      kv::Store store(p, cfg);
+      state.SetIterationTime(
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
+      loaded += store.keys_loaded();
+      store.free_window();
+    });
+  }
+  state.counters["per_key"] = benchmark::Counter(
+      static_cast<double>(loaded), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_StoreLoad)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

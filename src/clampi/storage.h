@@ -18,7 +18,9 @@
 // positional score) an O(1) query, and makes coalescing on eviction O(1).
 //
 // All region sizes are multiples of the CPU cache-line size to preserve
-// alignment inside S_w.
+// alignment inside S_w. The buffer is not zero-filled: a region's bytes are
+// indeterminate until the entry's copy-in writes them, and untouched pages
+// cost no memory.
 #pragma once
 
 #include <cstddef>

@@ -442,9 +442,13 @@ bool CachedWindow::handle_result(const CacheCore::Result& res, void* origin,
   last_access_ = res.type;
   // A cached prefix of the packed payload is reusable only if the same
   // element layout produced it and it covers whole elements. An untyped
-  // get is signature 0 with 1-byte elements: always compatible.
-  const bool layout_ok = typed.dtype == nullptr || res.entry == kNoEntry ||
-                         core_->entry_signature(res.entry) == typed.dtype->signature();
+  // get is signature 0 and matches only untyped entries. An extension has
+  // already given the entry the requester's signature, so its prefix is
+  // checked against the signature it was packed under.
+  const std::uint64_t sig = typed.dtype == nullptr ? 0 : typed.dtype->signature();
+  const bool layout_ok =
+      res.entry == kNoEntry ||
+      (res.extended ? res.prev_sig : core_->entry_signature(res.entry)) == sig;
   switch (res.type) {
     case AccessType::kHit:
       if (!layout_ok) break;

@@ -26,14 +26,23 @@ Ring::Ring(int nservers, int vnodes, std::uint64_t seed)
     CLAMPI_REQUIRE(points_[i].first != points_[i - 1].first,
                    "Ring: coincident vnode points; change the seed");
   }
+  CLAMPI_REQUIRE(points_.size() < (std::uint64_t{1} << 32), "Ring: too many points");
+  std::size_t i = 0;
+  for (std::size_t b = 0; b < jump_.size(); ++b) {
+    while (i < points_.size() && (points_[i].first >> kJumpShift) < b) ++i;
+    jump_[b] = static_cast<std::uint32_t>(i);
+  }
 }
 
 std::size_t Ring::first_point(std::uint64_t key) const {
   const std::uint64_t pos = util::mix64(key ^ seed_ ^ 0x72696e67ull);
-  const auto it = std::lower_bound(
-      points_.begin(), points_.end(), pos,
-      [](const std::pair<std::uint64_t, int>& p, std::uint64_t v) { return p.first < v; });
-  return it == points_.end() ? 0 : static_cast<std::size_t>(it - points_.begin());
+  // The successor is inside pos's slice or is the next slice's first point;
+  // past the last point the walk wraps to 0.
+  const std::size_t slice = pos >> kJumpShift;
+  std::size_t i = jump_[slice];
+  const std::size_t end = jump_[slice + 1];
+  while (i < end && points_[i].first < pos) ++i;
+  return i == points_.size() ? 0 : i;
 }
 
 int Ring::primary(std::uint64_t key) const { return points_[first_point(key)].second; }
@@ -44,7 +53,8 @@ void Ring::replicas(std::uint64_t key, int count, int* out) const {
   std::size_t i = first_point(key);
   int found = 0;
   for (std::size_t step = 0; step < points_.size() && found < count; ++step) {
-    const int s = points_[(i + step) % points_.size()].second;
+    const int s = points_[i].second;
+    if (++i == points_.size()) i = 0;
     bool seen = false;
     for (int j = 0; j < found; ++j) seen = seen || out[j] == s;
     if (!seen) out[found++] = s;

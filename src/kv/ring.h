@@ -6,8 +6,14 @@
 // clockwise, so losing a server only remaps the slices it contributed —
 // clients route around a dead primary by falling through the replica list
 // without any global reshuffle.
+//
+// A lookup costs O(1 + points / 2^12), not O(log points): a 2^12-entry
+// jump table indexed by the top bits of the key's position gives the first
+// point of its slice of the circle, and a short scan within the slice
+// finds the successor point.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -32,11 +38,17 @@ class Ring {
   std::size_t points() const { return points_.size(); }
 
  private:
+  static constexpr int kJumpBits = 12;
+  static constexpr int kJumpShift = 64 - kJumpBits;
+
   std::size_t first_point(std::uint64_t key) const;
 
   int nservers_;
   std::uint64_t seed_;
   std::vector<std::pair<std::uint64_t, int>> points_;  // sorted (position, server)
+  // jump_[b] = index of the first point whose position's top kJumpBits
+  // bits are >= b; jump_[2^kJumpBits] = points_.size().
+  std::array<std::uint32_t, (std::size_t{1} << kJumpBits) + 1> jump_{};
 };
 
 }  // namespace clampi::kv

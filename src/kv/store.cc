@@ -161,6 +161,13 @@ void Store::load_shard() {
     h.generation = generation_;
     store_header(shard_bucket(b), h);
   }
+  // Owned keys are inserted in walk order, since overflow-chain ids are
+  // handed out in insertion order. Each key's main bucket is prefetched
+  // kLoadAhead owned keys before its insert, so the shard's cache misses
+  // overlap the ring walk instead of stalling it.
+  constexpr std::uint64_t kLoadAhead = 16;
+  std::uint64_t ahead[kLoadAhead] = {};
+  std::uint64_t owned = 0;
   int reps[kMaxReplicas];
   for (std::uint64_t i = 0; i < cfg_.nkeys; ++i) {
     const std::uint64_t key = key_at(i);
@@ -168,9 +175,16 @@ void Store::load_shard() {
     bool mine = false;
     for (int r = 0; r < cfg_.replication; ++r) mine = mine || reps[r] == p_->rank();
     if (!mine) continue;
-    insert_local(key);
-    ++keys_loaded_;
+    std::uint64_t& queued = ahead[owned % kLoadAhead];
+    if (owned >= kLoadAhead) insert_local(queued);
+    __builtin_prefetch(shard_bucket(bucket_index(key)), /*rw=*/1);
+    queued = key;
+    ++owned;
   }
+  for (std::uint64_t j = owned > kLoadAhead ? owned - kLoadAhead : 0; j < owned; ++j) {
+    insert_local(ahead[j % kLoadAhead]);
+  }
+  keys_loaded_ += owned;
 }
 
 void Store::insert_local(std::uint64_t key) {

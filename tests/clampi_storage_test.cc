@@ -2,8 +2,11 @@
 // in-place extension and the adjacent-free d_c metric (Secs. III-C2/C3).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <vector>
 
@@ -188,6 +191,38 @@ TEST(Storage, RebuildChangesCapacity) {
 
 // Property test: random alloc/free/extend sequences against a brute-force
 // shadow allocator; validates byte accounting, disjointness and d_c.
+// Resident set size of this process, from /proc/self/statm.
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t size_pages = 0, resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(Storage, ArenaPagesAreFaultedInByWritesOnly) {
+  // S_w is sized for the largest working set, not the current one: building
+  // or rebuilding it must not touch its pages. The bounds leave room for
+  // allocator and sanitizer bookkeeping and for 2 MiB transparent huge pages.
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  constexpr std::size_t kArena = 512 * kMiB;
+  const std::size_t before = resident_bytes();
+  Storage s(kArena);
+  const std::size_t built = resident_bytes();
+  EXPECT_LT(built - std::min(built, before), 16 * kMiB);
+
+  Storage::Region* r = s.alloc(kMiB);
+  ASSERT_NE(r, nullptr);
+  std::memset(s.data(r), 0x5a, kMiB);
+  const std::size_t written = resident_bytes();
+  EXPECT_GE(written - std::min(written, built), kMiB * 3 / 4);
+  EXPECT_LT(written - std::min(written, built), 8 * kMiB);
+
+  s.rebuild(kArena);
+  const std::size_t rebuilt = resident_bytes();
+  EXPECT_LT(rebuilt - std::min(rebuilt, written), 16 * kMiB);
+  EXPECT_TRUE(s.validate());
+}
+
 class StorageRandomOps : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(StorageRandomOps, InvariantsHoldUnderChurn) {

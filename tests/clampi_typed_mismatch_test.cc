@@ -153,4 +153,91 @@ TEST(TypedMismatch, SmallerRequestDifferentLayoutBypasses) {
   });
 }
 
+// An untyped get is signature 0: a strided entry's packed bytes at the
+// same key are not its raw bytes, whether they cover the request (full
+// hit) or only a prefix of it (partial hit).
+TEST(TypedMismatch, UntypedGetAfterStridedGetIsNotServedPackedBytes) {
+  for (const std::size_t untyped_bytes : {std::size_t{16}, std::size_t{32}}) {
+    SCOPED_TRACE(testing::Message() << "untyped get of " << untyped_bytes << " bytes");
+    Engine e(ecfg());
+    e.run([untyped_bytes](Process& p) {
+      void* base = nullptr;
+      Config cfg;
+      cfg.mode = Mode::kAlwaysCache;
+      auto win = CachedWindow::allocate(p, 4096, &base, cfg);
+      fill(base, 4096, p.rank());
+      p.barrier();
+      win.lock_all();
+      const int peer = 1 - p.rank();
+
+      const auto a = dt::Datatype::vector(2, 8, 16, dt::Datatype::contiguous(1));  // 16B packed
+      std::vector<std::uint8_t> bufa(a.size_of(1));
+      win.get(bufa.data(), a, 1, peer, 0);
+      win.flush_all();
+      // Both gets: the first meets the strided entry, the second whatever
+      // the first left behind.
+      for (int round = 0; round < 2; ++round) {
+        std::vector<std::uint8_t> raw(untyped_bytes);
+        win.get(raw.data(), raw.size(), peer, 0);
+        win.flush_all();
+        for (std::size_t i = 0; i < raw.size(); ++i) {
+          ASSERT_EQ(raw[i], at(i, peer)) << "round " << round << " byte " << i;
+        }
+        if (round == 0) {
+          // The cache core did find the strided entry.
+          const Stats& st = win.stats();
+          EXPECT_EQ(untyped_bytes == 16 ? st.hits_full : st.hits_partial, 1u);
+        }
+      }
+      EXPECT_EQ(win.core().pending_entries(), 0u);
+      EXPECT_NO_THROW(clampi_invalidate(win));
+      EXPECT_TRUE(win.core().validate());
+      win.unlock_all();
+      p.barrier();
+      win.free_window();
+    });
+  }
+}
+
+// A partial hit that extends the entry gives it the requester's signature;
+// the cached prefix was still packed under the old one, so the two layouts
+// must be compared before the extension, even when the prefix covers whole
+// elements of the new layout.
+TEST(TypedMismatch, ExtendedPrefixOfAnotherLayoutWithSameElementSize) {
+  Engine e(ecfg());
+  e.run([](Process& p) {
+    void* base = nullptr;
+    Config cfg;
+    cfg.mode = Mode::kAlwaysCache;
+    auto win = CachedWindow::allocate(p, 4096, &base, cfg);
+    fill(base, 4096, p.rank());
+    p.barrier();
+    win.lock_all();
+    const int peer = 1 - p.rank();
+
+    const auto a = dt::Datatype::vector(2, 4, 8, dt::Datatype::contiguous(1));  // 8B/elem
+    const auto b = dt::Datatype::vector(4, 2, 4, dt::Datatype::contiguous(1));  // 8B/elem
+    ASSERT_EQ(a.size(), b.size());
+    ASSERT_NE(a.signature(), b.signature());
+    std::vector<std::uint8_t> bufa(a.size_of(1));
+    win.get(bufa.data(), a, 1, peer, 0);
+    win.flush_all();
+    std::vector<std::uint8_t> bufb(b.size_of(2));
+    win.get(bufb.data(), b, 2, peer, 0);  // partial hit, head = one whole element
+    win.flush_all();
+    EXPECT_EQ(win.stats().hits_partial, 1u);
+    std::size_t pos = 0;
+    for (const auto& blk : b.flatten(2)) {
+      for (std::size_t i = 0; i < blk.size; ++i, ++pos) {
+        ASSERT_EQ(bufb[pos], at(blk.offset + i, peer)) << "packed byte " << pos;
+      }
+    }
+    EXPECT_EQ(win.core().pending_entries(), 0u);
+    EXPECT_NO_THROW(clampi_invalidate(win));
+    win.unlock_all();
+    p.barrier();
+    win.free_window();
+  });
+}
+
 }  // namespace

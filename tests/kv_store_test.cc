@@ -3,7 +3,9 @@
 // shadow map, and the generation re-read safety net (docs/KV.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "rt/engine.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/skew.h"
 
 namespace {
 
@@ -77,6 +80,105 @@ TEST(Ring, VnodesKeepPlacementRoughlyBalanced) {
     // Fair share is 25%; 64 vnodes keep every server within a loose band.
     EXPECT_GT(owned[s], keys / 10) << "server " << s;
     EXPECT_LT(owned[s], keys / 2) << "server " << s;
+  }
+}
+
+// Test-local reference for the ring: the same sorted points, searched
+// with std::lower_bound.
+struct RefRing {
+  RefRing(int nservers, int vnodes, std::uint64_t seed) : seed(seed) {
+    for (int s = 0; s < nservers; ++s) {
+      for (int v = 0; v < vnodes; ++v) {
+        points.emplace_back(util::mix64(seed ^ (static_cast<std::uint64_t>(s) *
+                                                    0x100000001b3ull +
+                                                static_cast<std::uint64_t>(v))),
+                            s);
+      }
+    }
+    std::sort(points.begin(), points.end());
+  }
+  std::uint64_t position(std::uint64_t key) const {
+    return util::mix64(key ^ seed ^ 0x72696e67ull);
+  }
+  std::size_t first_point(std::uint64_t key) const {
+    const auto it = std::lower_bound(
+        points.begin(), points.end(), position(key),
+        [](const std::pair<std::uint64_t, int>& p, std::uint64_t v) { return p.first < v; });
+    return it == points.end() ? 0 : static_cast<std::size_t>(it - points.begin());
+  }
+  void replicas(std::uint64_t key, int count, int* out) const {
+    const std::size_t i = first_point(key);
+    int found = 0;
+    for (std::size_t step = 0; step < points.size() && found < count; ++step) {
+      const int s = points[(i + step) % points.size()].second;
+      if (std::find(out, out + found, s) == out + found) out[found++] = s;
+    }
+  }
+  std::uint64_t seed;
+  std::vector<std::pair<std::uint64_t, int>> points;
+};
+
+// Inverse of util::mix64, so a test can pick the key whose ring position is
+// any chosen value (exactly on a point, one either side, 0, 2^64 - 1).
+std::uint64_t unmix64(std::uint64_t z) {
+  const auto inv_odd = [](std::uint64_t a) {
+    std::uint64_t x = a;  // Newton's iteration doubles the correct low bits
+    for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+    return x;
+  };
+  const auto unxorshift = [](std::uint64_t y, int s) {
+    std::uint64_t x = y;
+    for (int i = 0; i < 64 / s; ++i) x = y ^ (x >> s);
+    return x;
+  };
+  z = unxorshift(z, 31);
+  z *= inv_odd(0x94d049bb133111ebull);
+  z = unxorshift(z, 27);
+  z *= inv_odd(0xbf58476d1ce4e5b9ull);
+  z = unxorshift(z, 30);
+  return z - 0x9e3779b97f4a7c15ull;
+}
+
+TEST(Ring, ReplicasMatchSortedSuccessorSearch) {
+  // (1,1): all but one jump-table slice empty; (16,256): 4096 points,
+  // several in some slices; every config sees keys past the last point
+  // wrap to point 0.
+  const std::pair<int, int> configs[] = {{1, 1}, {2, 64}, {7, 3}, {16, 256}};
+  const std::uint64_t seed = 0x6b7653eedull;
+  for (const auto& [nservers, vnodes] : configs) {
+    SCOPED_TRACE(testing::Message() << "nservers=" << nservers << " vnodes=" << vnodes);
+    const kv::Ring ring(nservers, vnodes, seed);
+    const RefRing ref(nservers, vnodes, seed);
+    ASSERT_EQ(ring.points(), ref.points.size());
+    // Random keys plus keys placed exactly on, just before and just after
+    // every point, and at both ends of the circle.
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t k = 0; k < 200000; ++k) keys.push_back(util::mix64(k ^ 0x7e57ull));
+    const auto key_at_pos = [&](std::uint64_t pos) {
+      const std::uint64_t key = unmix64(pos) ^ seed ^ 0x72696e67ull;
+      EXPECT_EQ(ref.position(key), pos);
+      return key;
+    };
+    for (const auto& [pos, s] : ref.points) {
+      keys.push_back(key_at_pos(pos));
+      keys.push_back(key_at_pos(pos - 1));
+      keys.push_back(key_at_pos(pos + 1));
+    }
+    keys.push_back(key_at_pos(0));
+    keys.push_back(key_at_pos(std::numeric_limits<std::uint64_t>::max()));
+
+    std::size_t wrapped = 0;
+    for (const std::uint64_t key : keys) {
+      if (ref.position(key) > ref.points.back().first) ++wrapped;
+      for (int count = 1; count <= std::min(nservers, kv::kMaxReplicas); ++count) {
+        int got[kv::kMaxReplicas], want[kv::kMaxReplicas];
+        ring.replicas(key, count, got);
+        ref.replicas(key, count, want);
+        ASSERT_TRUE(std::equal(got, got + count, want)) << "key " << key << " count " << count;
+      }
+      ASSERT_EQ(ring.primary(key), ref.points[ref.first_point(key)].second);
+    }
+    EXPECT_GT(wrapped, 1u);
   }
 }
 
@@ -302,6 +404,63 @@ TEST(KvStore, RejectsInvalidConfigs) {
     EXPECT_THROW(kv::Store store(p, cfg), util::ContractError);
     p.barrier();
   });
+}
+
+// --- shard image pin: same placement, byte for byte ---
+
+// FNV-1a over a server's shard bytes, folded with its keys_loaded.
+std::uint64_t shard_image_hash(const std::byte* b, std::size_t n, std::uint64_t keys) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::size_t i = 0; i < n; ++i) {
+    h = (h ^ static_cast<std::uint64_t>(b[i])) * 0x100000001b3ull;
+  }
+  return util::mix64(h ^ keys);
+}
+
+TEST(KvStore, ShardImagesArePinned) {
+  // Golden shard images: any change to placement, insertion order or
+  // overflow-chain numbering moves them.
+  struct Case {
+    const char* name;
+    int replication;
+    double load_factor;
+    std::uint64_t want[3];
+  };
+  const Case cases[] = {
+      {"replication 1", 1, 0.7,
+       {0x72582ff72320a1dcull, 0xefa1f9b23e19ddb3ull, 0x9375feb0d5d3f28bull}},
+      {"replication 2", 2, 0.7,
+       {0x9a414b4154248827ull, 0x46d1621b02b0295eull, 0x560124466e99223cull}},
+      {"load_factor 1.5", 1, 1.5,
+       {0xf3cab5fa291142edull, 0x3f8c64ced817a792ull, 0x6f9f6d14a88be2bcull}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::uint64_t got[3] = {};
+    std::size_t chained = 0;
+    Engine e(engine_cfg(4));
+    e.run([&](Process& p) {
+      kv::StoreConfig cfg = small_store(/*nkeys=*/30000, /*nservers=*/3);
+      cfg.replication = c.replication;
+      cfg.load_factor = c.load_factor;
+      cfg.overflow_frac = 1.0;
+      kv::Store store(p, cfg);
+      if (store.is_server()) {
+        const std::byte* shard = p.win_raw(store.window().raw(), p.rank());
+        got[p.rank()] = shard_image_hash(shard, store.shard_bytes(), store.keys_loaded());
+        const std::size_t bb = cfg.layout.bucket_bytes();
+        for (std::size_t b = 0; b < store.main_buckets(); ++b) {
+          if (kv::load_header(shard + b * bb).chain != kv::kNoBucket) ++chained;
+        }
+      }
+      p.barrier();
+      store.free_window();
+    });
+    for (int s = 0; s < 3; ++s) EXPECT_EQ(got[s], c.want[s]) << "server " << s;
+    if (c.load_factor > 1.0) {
+      EXPECT_GT(chained, 0u);
+    }
+  }
 }
 
 }  // namespace
