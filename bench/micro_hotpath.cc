@@ -3,7 +3,9 @@
 // Guards the per-operation costs the paper's crossover analysis lives on
 // (Sec. III, Fig. 7): index lookup hit/miss, the cuckoo insertion walk,
 // storage alloc/dealloc/extend, the end-to-end cached-get hit in the core
-// and the same hit one rung up, through CachedWindow::get(). Unlike
+// and the same hit one rung up, through CachedWindow::get(), and under
+// measured time one Process::now_us() and a cold CachedWindow get+flush
+// (the instrument and the miss path). Unlike
 // micro_structures.cc (broad data-structure coverage), every benchmark
 // here keeps harness overhead off the measured path: key selection uses
 // power-of-two masks (no integer divide), sizes come from precomputed
@@ -292,6 +294,71 @@ void BM_WindowGetHit(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_WindowGetHit)->Arg(64)->UseRealTime();
+
+// The instrument's own rung: one Process::now_us() under kMeasured, which
+// charges the user time since the last anchor and re-anchors (one clock
+// read). Real time, run by rank 0 of a 2-rank engine.
+void BM_ProcessNowUs(benchmark::State& state) {
+  rmasim::Engine::Config ecfg;
+  ecfg.nranks = 2;
+  ecfg.model = std::make_shared<net::FlatModel>(1.0, 0.0);
+  ecfg.time_policy = rmasim::TimePolicy::kMeasured;
+  rmasim::Engine e(ecfg);
+  e.run([&](rmasim::Process& p) {
+    if (p.rank() == 0) {
+      for (auto _ : state) benchmark::DoNotOptimize(p.now_us());
+    }
+    p.barrier();
+  });
+}
+BENCHMARK(BM_ProcessNowUs)->UseRealTime();
+
+// The miss rung: a cold 256 B CachedWindow::get plus its flush, on a fresh
+// key each iteration, under kMeasured — admission, the core's insert, the
+// network get and flush through the engine, and the copy-in. The index
+// holds every key of a pass, so nothing is evicted; between passes the
+// cache is invalidated with the timer paused.
+void BM_WindowGetMissFlush(benchmark::State& state) {
+  constexpr std::size_t kBytes = 256;
+  constexpr std::size_t kKeys = std::size_t{1} << 14;
+  rmasim::Engine::Config ecfg;
+  ecfg.nranks = 2;
+  ecfg.model = std::make_shared<net::FlatModel>(1.0, 0.0);
+  ecfg.time_policy = rmasim::TimePolicy::kMeasured;
+  rmasim::Engine e(ecfg);
+  e.run([&](rmasim::Process& p) {
+    Config cfg;
+    cfg.mode = Mode::kAlwaysCache;
+    cfg.index_entries = kKeys * 4;
+    cfg.storage_bytes = kKeys * kBytes * 2;
+    void* base = nullptr;
+    auto win = CachedWindow::allocate(p, kKeys * kBytes, &base, cfg);
+    if (p.rank() == 0) {
+      std::vector<std::byte> buf(kBytes);
+      win.lock_all();
+      std::size_t k = 0;
+      for (auto _ : state) {
+        win.get(buf.data(), kBytes, 1, k * kBytes);
+        win.flush(1);
+        benchmark::DoNotOptimize(buf.data());
+        benchmark::ClobberMemory();
+        if (++k == kKeys) {
+          state.PauseTiming();
+          win.invalidate();
+          k = 0;
+          state.ResumeTiming();
+        }
+      }
+      const Stats& st = win.stats();
+      state.counters["evictions"] = static_cast<double>(st.evictions);
+      state.counters["hits"] = static_cast<double>(st.hitting());
+      win.unlock_all();
+    }
+    p.barrier();
+    win.free_window();
+  });
+}
+BENCHMARK(BM_WindowGetMissFlush)->UseRealTime();
 
 // Steady-state miss with one capacity eviction per access — the weak-
 // caching bound (Sec. III-D2) on the miss side.

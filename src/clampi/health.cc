@@ -126,6 +126,13 @@ TargetStatus HealthMonitor::status(int target, double now_us) const {
   return st;
 }
 
+bool HealthMonitor::any_quarantined() const {
+  for (const Target& t : targets_) {
+    if (t.state == HealthState::kQuarantined) return true;
+  }
+  return false;
+}
+
 void HealthMonitor::on_epoch_close(double now_us,
                                    std::vector<std::pair<int, HealthState>>* out) {
   for (std::size_t i = 0; i < targets_.size(); ++i) {

@@ -114,6 +114,8 @@ class HealthMonitor {
   HealthState record_failure(int target, double now_us, bool fatal);
 
   HealthState state(int target) const;
+  /// Some target is QUARANTINED (its dwell is then checked at epoch close).
+  bool any_quarantined() const;
   /// Decayed suspicion at `now_us` (diagnostic; state() is the decision).
   double suspicion(int target, double now_us) const;
   TargetStatus status(int target, double now_us) const;

@@ -77,32 +77,12 @@ void CachedWindow::serve_cached(void* origin, std::uint32_t entry, std::size_t b
   if (cfg_.collect_phase_timings) last_phases_.copy_ns += phase_clock_ns() - t0;
 }
 
-void CachedWindow::fetch_payload(void* origin, std::size_t head, std::size_t bytes,
-                                 int target, std::size_t disp, Typed typed) {
-  auto* dst = static_cast<std::byte*>(origin) + head;
-  const std::size_t n = bytes - head;
-  if (typed.dtype == nullptr) {
-    // Dense payload: exactly one Process::get, as MPI_Get of bytes.
-    issue_resilient(target, disp + head, n,
-                    [&] { p_->get(dst, n, target, disp + head, win_); });
-    return;
-  }
-  // Strided payload: the flattened blocks of the elements from `head` on
-  // (head covers whole elements), gathered packed after the head.
-  const std::size_t tail_start = head / typed.dtype->size() * typed.dtype->extent();
-  std::vector<rmasim::Process::Block> blocks;
-  for (const auto& b : typed.dtype->flatten(typed.count)) {
-    if (b.offset + b.size <= tail_start) continue;
-    const std::size_t off = std::max(b.offset, tail_start);
-    blocks.push_back({off, b.size - (off - b.offset)});
-  }
-  issue_resilient(target, disp, n, [&] {
-    p_->get_blocks(dst, target, disp, blocks.data(), blocks.size(), win_);
-  });
-}
-
+// The callable is a template parameter, not a std::function: fetch_payload's
+// lambdas capture more than libstdc++'s small buffer holds, so a
+// std::function would heap-allocate on every miss.
+template <class IssueFn>
 void CachedWindow::issue_resilient(int target, std::size_t disp, std::size_t bytes,
-                                   const std::function<void()>& issue_fn) {
+                                   IssueFn&& issue_fn) {
   // Quarantined targets fast-fail before touching the network: no retries,
   // no backoff burned. PROBING lets ops through half-open; enough
   // consecutive successes reclose the target to HEALTHY. Placed here (not
@@ -185,6 +165,30 @@ void CachedWindow::issue_resilient(int target, std::size_t disp, std::size_t byt
   }
 }
 
+void CachedWindow::fetch_payload(void* origin, std::size_t head, std::size_t bytes,
+                                 int target, std::size_t disp, Typed typed) {
+  auto* dst = static_cast<std::byte*>(origin) + head;
+  const std::size_t n = bytes - head;
+  if (typed.dtype == nullptr) {
+    // Dense payload: exactly one Process::get, as MPI_Get of bytes.
+    issue_resilient(target, disp + head, n,
+                    [&] { p_->get(dst, n, target, disp + head, win_); });
+    return;
+  }
+  // Strided payload: the flattened blocks of the elements from `head` on
+  // (head covers whole elements), gathered packed after the head.
+  const std::size_t tail_start = head / typed.dtype->size() * typed.dtype->extent();
+  std::vector<rmasim::Process::Block> blocks;
+  for (const auto& b : typed.dtype->flatten(typed.count)) {
+    if (b.offset + b.size <= tail_start) continue;
+    const std::size_t off = std::max(b.offset, tail_start);
+    blocks.push_back({off, b.size - (off - b.offset)});
+  }
+  issue_resilient(target, disp, n, [&] {
+    p_->get_blocks(dst, target, disp, blocks.data(), blocks.size(), win_);
+  });
+}
+
 void CachedWindow::begin_op_deadline() {
   if (extern_deadline_us_ >= 0.0) {
     deadline_abs_ = extern_deadline_us_;
@@ -234,9 +238,10 @@ bool CachedWindow::target_down(int target) const {
 }
 
 void CachedWindow::crash_epoch_check(int target) {
+  if (p_->fault_injector() == nullptr) return;  // no injector, no crashes
   const int wt = p_->comm_world_rank(comm_, target);
   const int due = p_->crash_restarts_due(wt);
-  if (due == 0) return;  // the no-injector / no-crash common case
+  if (due == 0) return;  // the no-crash common case
   if (crash_restarts_seen_.empty()) {
     crash_restarts_seen_.assign(static_cast<std::size_t>(p_->comm_size(comm_)), 0);
   }
@@ -414,7 +419,9 @@ void CachedWindow::health_note(int target, HealthState after) {
 
 void CachedWindow::health_epoch_close() {
   health_transitions_.clear();
-  health_.on_epoch_close(p_->now_us(), &health_transitions_);
+  // Only a quarantined target's dwell check reads the time.
+  health_.on_epoch_close(health_.any_quarantined() ? p_->now_us() : 0.0,
+                         &health_transitions_);
   for (const auto& [target, state] : health_transitions_) {
     health_note(target, state);
   }
@@ -472,7 +479,7 @@ bool CachedWindow::handle_result(const CacheCore::Result& res, void* origin,
       if (res.extended) {
         pending_.push_back({PendingOp::Kind::kCopyIn, res.entry, target,
                             static_cast<std::byte*>(origin) + head, head, bytes - head,
-                            p_->now_us()});
+                            copy_in_stamp()});
       }
       return false;
     }
@@ -481,20 +488,22 @@ bool CachedWindow::handle_result(const CacheCore::Result& res, void* origin,
     case AccessType::kCapacity:
       fetch_payload(origin, 0, bytes, target, disp, typed);
       pending_.push_back({PendingOp::Kind::kCopyIn, res.entry, target,
-                          static_cast<std::byte*>(origin), 0, bytes, p_->now_us()});
+                          static_cast<std::byte*>(origin), 0, bytes, copy_in_stamp()});
       return false;
     case AccessType::kFailing:
       break;
   }
   // Failing access or incompatible layout: the whole payload comes from
-  // the network.
+  // the network, so the get was not served from the cache whatever the
+  // core classified it as.
+  last_access_ = AccessType::kFailing;
   fetch_payload(origin, 0, bytes, target, disp, typed);
   if (res.type == AccessType::kPartialHit && res.extended) {
     // The core grew the entry for the *new* layout and left it PENDING;
     // repopulate it wholesale from the freshly fetched packed payload,
     // or it would stay PENDING (and unevictable) forever.
     pending_.push_back({PendingOp::Kind::kCopyIn, res.entry, target,
-                        static_cast<std::byte*>(origin), 0, bytes, p_->now_us()});
+                        static_cast<std::byte*>(origin), 0, bytes, copy_in_stamp()});
   }
   return false;
 }
@@ -523,7 +532,7 @@ void CachedWindow::notify_get(int target, std::size_t disp, std::size_t bytes,
   crash_epoch_check(target);
   shed_admission(target, disp, bytes);
   begin_op_deadline();
-  last_phases_ = PhaseBreakdown{};
+  if (cfg_.collect_phase_timings) last_phases_ = PhaseBreakdown{};
   // 2. A tripped breaker routes the get around the cache.
   if (breaker_says_passthrough()) {
     fetch_payload(origin, 0, bytes, target, disp, typed);
@@ -696,12 +705,12 @@ void CachedWindow::close_epoch(bool all_complete) {
     CLAMPI_ASSERT(all_complete, "transparent epoch closure requires full completion");
     process_pending(-1);
     transparent_invalidate();
-    epoch_open_us_ = p_->now_us();
+    if (cfg_.degraded_reads) epoch_open_us_ = p_->now_us();
     return;  // nothing to adapt: the cache restarts from scratch each epoch
   }
   integrity_epoch_tasks();
   maybe_adapt();
-  epoch_open_us_ = p_->now_us();
+  if (cfg_.degraded_reads) epoch_open_us_ = p_->now_us();
 }
 
 void CachedWindow::maybe_adapt() {

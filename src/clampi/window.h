@@ -99,6 +99,9 @@ class CachedWindow {
 
   // --- introspection ---
   const Stats& stats() const { return core_->stats(); }
+  /// How the last get was served. A get the core classified as a hit but
+  /// whose layout did not match the entry is fetched wholly from the
+  /// network and reports kFailing; Stats keeps the core's classification.
   AccessType last_access() const { return last_access_; }
   const PhaseBreakdown& last_phases() const { return last_phases_; }
   std::uint64_t epoch() const { return epoch_; }
@@ -254,6 +257,10 @@ class CachedWindow {
   void get_staged(void* origin, std::size_t bytes, int target, std::size_t disp,
                   Typed typed);
   void serve_cached(void* origin, std::uint32_t entry, std::size_t bytes);
+  /// Freshness stamp of a copy-in issued now. Only bounded-staleness
+  /// degraded reads read entry stamps, so without them no clock is read
+  /// and the stamp stays 0 ("never stamped").
+  double copy_in_stamp() const { return cfg_.degraded_reads ? p_->now_us() : 0.0; }
   /// Serve or fetch the payload as the cache classified it. True: a full
   /// hit was served from the cache.
   bool handle_result(const CacheCore::Result& res, void* origin, std::size_t bytes,
@@ -269,8 +276,9 @@ class CachedWindow {
   /// Run `issue_fn` under the retry policy: transient fault::OpFailedErrors
   /// back off in virtual time and re-issue up to max_retries times (within
   /// the epoch budget); anything else propagates.
+  template <class IssueFn>
   void issue_resilient(int target, std::size_t disp, std::size_t bytes,
-                       const std::function<void()>& issue_fn);
+                       IssueFn&& issue_fn);
   /// Serve a get from a CACHED entry because the target is down
   /// (quarantined, dead or degraded). Two policies, tried in order:
   /// bounded-staleness degraded reads (cfg.degraded_reads; any mode) and
@@ -373,7 +381,9 @@ class CachedWindow {
   double last_degraded_age_us_ = 0.0;
   double epoch_open_us_ = 0.0;  ///< virtual time the current epoch opened:
                                 ///< entries stamped earlier are cross-epoch
-                                ///< survivors (transparent degraded reads)
+                                ///< survivors (transparent degraded reads,
+                                ///< its only reader: close_epoch stamps it
+                                ///< only under degraded_reads)
   trace::Trace* fault_trace_ = nullptr;
   GetObserver get_observer_;        // chaos-oracle tap (empty = disabled)
   HealthObserver health_observer_;  // KV hinted-handoff tap (empty = disabled)

@@ -10,8 +10,12 @@
 //    real data structures) is charged its true cost, as in the paper's
 //    Fig. 7, while the network remains modelled.
 //
-// Measurement uses the per-thread CPU clock so that time spent blocked in
-// the scheduler is never charged.
+// Measurement reads CLOCK_MONOTONIC (see thread_cpu_us): the scheduler
+// runs one rank thread at a time and every runtime exit re-anchors, so the
+// wall time between runtime calls is the calling thread's own compute
+// time, and time spent blocked in the scheduler is never charged. A
+// runtime call reads the clock twice (enter and exit, so time inside the
+// runtime stays uncharged); a bare time sample (sample_us) reads it once.
 #pragma once
 
 #include <ctime>
@@ -63,6 +67,24 @@ class VirtualClock {
     }
   }
 
+  /// Time sample taken from user code (Process::now_us): at depth 0 under
+  /// kMeasured, accrues the user time since the last anchor and
+  /// re-anchors with one clock read, where enter_runtime+exit_runtime
+  /// take two. Before the first anchor it only anchors, as that pair did.
+  /// Inside a runtime section it is the plain clock value.
+  double sample_us() {
+    if (depth_ == 0 && policy_ == TimePolicy::kMeasured) {
+      const double t = thread_cpu_us();
+      if (anchored_) {
+        const double elapsed = t - anchor_us_;
+        if (elapsed > 0.0) now_us_ += elapsed * scale_;
+      }
+      anchor_us_ = t;
+      anchored_ = true;
+    }
+    return now_us_;
+  }
+
   /// Called once when the owning thread starts executing user code.
   void start_measurement() {
     if (policy_ == TimePolicy::kMeasured) {
@@ -74,8 +96,9 @@ class VirtualClock {
   // CLOCK_MONOTONIC instead of the per-thread CPU clock: the scheduler
   // runs exactly one rank thread at a time and re-anchors at every
   // runtime exit, so wall time between runtime calls *is* this thread's
-  // compute time — and the vDSO read is ~15ns versus a ~300ns syscall,
-  // which would otherwise dominate the cache-hit costs being measured.
+  // compute time — and the vDSO read (~40 ns on a 4-vCPU VM) is far
+  // cheaper than a per-thread CPU clock syscall, which would otherwise
+  // dominate the cache-hit costs being measured.
   static double thread_cpu_us() {
     timespec ts{};
     clock_gettime(CLOCK_MONOTONIC, &ts);

@@ -1408,11 +1408,8 @@ Comm Process::comm_split(Comm parent, int color, int key) {
 int Process::nranks() const { return engine_->nranks(); }
 
 double Process::now_us() const {
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();  // flush measured time into the clock
-  const double t = me.clock.now_us();
-  me.clock.exit_runtime();
-  return t;
+  // One clock read: flush measured time into the clock and re-anchor.
+  return engine_->ctx(rank_).clock.sample_us();
 }
 
 void Process::compute_us(double us) {

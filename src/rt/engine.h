@@ -81,6 +81,8 @@ class Process {
  public:
   int rank() const { return rank_; }
   int nranks() const;
+  /// This rank's virtual time. Under kMeasured it first charges the user
+  /// time since the last runtime call or sample (one clock read).
   double now_us() const;
 
   // --- Communicators ---

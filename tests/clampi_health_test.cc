@@ -369,6 +369,51 @@ TEST(HealthWindow, DegradedReadsRespectStalenessBound) {
   });
 }
 
+// Under measured time the copy-in freshness stamp is still the virtual
+// time the fetch was issued: a degraded read's age runs from then, not
+// from 0, and the staleness bound still expires the survivor.
+TEST(HealthWindow, DegradedReadsUseIssueStampsUnderMeasuredTime) {
+  fault::Plan plan;
+  plan.kill_rank(1, 1000.0);
+
+  Config ccfg = cache_cfg(Mode::kTransparent);
+  ccfg.degraded_reads = true;
+  ccfg.degraded_max_staleness_us = 50000.0;
+
+  Engine::Config ec = ecfg(2, std::make_shared<fault::Injector>(plan));
+  ec.time_policy = rmasim::TimePolicy::kMeasured;
+  Engine e(ec);
+  e.run([ccfg](Process& p) {
+    void* base = nullptr;
+    auto win = CachedWindow::allocate(p, 4096, &base, ccfg);
+    fill_pattern(base, 4096, p.rank());
+    p.barrier();
+    if (p.rank() == 0) {
+      win.lock_all();
+      std::vector<std::uint8_t> buf(64);
+      const double issued = p.now_us();
+      ASSERT_GT(issued, 0.0);  // window allocation took modelled time
+      win.get(buf.data(), 64, 1, 0);
+      p.compute_us(2000.0);
+      EXPECT_THROW(win.flush_all(), fault::OpFailedError);
+
+      win.get(buf.data(), 64, 1, 0);
+      ASSERT_TRUE(win.last_was_degraded());
+      EXPECT_GE(win.last_degraded_age_us(), 2000.0);
+      // A stamp of 0 would make the age the whole run so far.
+      EXPECT_LE(win.last_degraded_age_us(), p.now_us() - issued);
+
+      p.compute_us(100000.0);
+      EXPECT_THROW(win.get(buf.data(), 64, 1, 0), fault::OpFailedError);
+      EXPECT_EQ(win.stats().degraded_hits, 1u);
+      EXPECT_EQ(win.stats().degraded_expired, 1u);
+      win.unlock_all();
+    }
+    p.barrier();
+    win.free_window();
+  });
+}
+
 TEST(HealthWindow, DegradedReadsCountSeparatelyInAlwaysCacheMode) {
   fault::Plan plan;
   plan.kill_rank(1, 1000.0);

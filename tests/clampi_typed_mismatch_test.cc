@@ -199,6 +199,45 @@ TEST(TypedMismatch, UntypedGetAfterStridedGetIsNotServedPackedBytes) {
   }
 }
 
+// A get the core finds as a full hit, but whose layout does not match the
+// entry, is fetched from the network: last_access() must not say kHit, or
+// a caller that skips the flush on a hit (kv::Store::read_bucket) reads
+// before the get completes. Stats keeps the core's classification.
+TEST(TypedMismatch, MismatchedHitIsNotReportedAsServedFromCache) {
+  Engine e(ecfg());
+  e.run([](Process& p) {
+    void* base = nullptr;
+    Config cfg;
+    cfg.mode = Mode::kAlwaysCache;
+    auto win = CachedWindow::allocate(p, 4096, &base, cfg);
+    fill(base, 4096, p.rank());
+    p.barrier();
+    win.lock_all();
+    const int peer = 1 - p.rank();
+
+    const auto a = dt::Datatype::vector(2, 8, 16, dt::Datatype::contiguous(1));  // 16B packed
+    std::vector<std::uint8_t> bufa(a.size_of(1));
+    win.get(bufa.data(), a, 1, peer, 0);
+    win.flush_all();
+
+    std::vector<std::uint8_t> raw(16);
+    win.get(raw.data(), raw.size(), peer, 0);
+    EXPECT_NE(win.last_access(), AccessType::kHit);
+    EXPECT_EQ(win.last_access(), AccessType::kFailing);
+    const Stats& st = win.stats();
+    EXPECT_EQ(st.hits_full, 1u);
+    EXPECT_EQ(st.failing, 0u);  // failing == failed_index + failed_capacity
+    const double before_flush = p.now_us();
+    win.flush_all();
+    EXPECT_GT(p.now_us(), before_flush);  // the network get completes here
+    for (std::size_t i = 0; i < raw.size(); ++i) ASSERT_EQ(raw[i], at(i, peer)) << i;
+
+    win.unlock_all();
+    p.barrier();
+    win.free_window();
+  });
+}
+
 // A partial hit that extends the entry gives it the requester's signature;
 // the cached prefix was still packed under the old one, so the two layouts
 // must be compared before the extension, even when the prefix covers whole

@@ -84,6 +84,58 @@ TEST(VirtualClock, MeasuredScaleMultiplies) {
   slow.exit_runtime();
 }
 
+// A time sample (Process::now_us) reads the clock once: it charges the
+// user time since the last anchor and re-anchors, so neither a second
+// sample nor the next runtime call charges the same work again.
+TEST(VirtualClock, MeasuredSampleChargesOnceAndReanchors) {
+  VirtualClock c(TimePolicy::kMeasured);
+  c.start_measurement();
+  volatile double x = 1.0;
+  for (int i = 0; i < 2000000; ++i) x = x * 1.0000001 + 0.1;
+  const double t1 = c.sample_us();
+  EXPECT_GT(t1, 50.0);
+  EXPECT_DOUBLE_EQ(c.now_us(), t1);
+  // Loose bounds: only the few instructions between the reads are
+  // charged, far below the loop's cost even on a loaded machine.
+  const double t2 = c.sample_us();
+  EXPECT_GE(t2, t1);
+  EXPECT_LT(t2 - t1, t1 / 2);
+  c.enter_runtime();
+  const double t3 = c.now_us();
+  EXPECT_DOUBLE_EQ(c.sample_us(), t3);  // inside the runtime: the plain value
+  c.exit_runtime();
+  EXPECT_GE(t3, t2);
+  EXPECT_LT(t3 - t2, t1 / 2);
+}
+
+TEST(VirtualClock, ModeledSampleIsTheClock) {
+  VirtualClock c(TimePolicy::kModeled);
+  c.start_measurement();
+  c.advance_us(3.5);
+  volatile double x = 1.0;
+  for (int i = 0; i < 200000; ++i) x = x * 1.0000001 + 0.1;
+  EXPECT_DOUBLE_EQ(c.sample_us(), 3.5);
+  EXPECT_DOUBLE_EQ(c.now_us(), 3.5);
+}
+
+// Before start_measurement() nothing is charged; the first sample anchors
+// the clock, as an enter/exit pair does, so later work is charged.
+TEST(VirtualClock, SampleBeforeStartMeasurementAnchors) {
+  VirtualClock sampled(TimePolicy::kMeasured);
+  VirtualClock paired(TimePolicy::kMeasured);
+  volatile double x = 1.0;
+  for (int i = 0; i < 2000000; ++i) x = x * 1.0000001 + 0.1;
+  EXPECT_DOUBLE_EQ(sampled.sample_us(), 0.0);
+  paired.enter_runtime();
+  EXPECT_DOUBLE_EQ(paired.now_us(), 0.0);
+  paired.exit_runtime();
+  for (int i = 0; i < 2000000; ++i) x = x * 1.0000001 + 0.1;
+  EXPECT_GT(sampled.sample_us(), 50.0);
+  paired.enter_runtime();
+  EXPECT_GT(paired.now_us(), 50.0);
+  paired.exit_runtime();
+}
+
 TEST(VirtualClock, NegativeAdvanceAborts) {
   VirtualClock c(TimePolicy::kModeled);
   EXPECT_DEATH(c.advance_us(-1.0), "backwards");
