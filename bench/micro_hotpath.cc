@@ -258,7 +258,7 @@ void BM_CachedGetHit(benchmark::State& state) {
 BENCHMARK(BM_CachedGetHit)->Arg(64)->Arg(4096)->Arg(65536);
 
 // One rung up: CachedWindow::get() on a resident entry — admission
-// checks, breaker and degraded-read gates, the core hit and the local
+// checks, the degraded-read gate, the core hit and the local
 // copy — run by rank 0 of a 2-rank modelled engine. Real time, because
 // the loop runs on the rank's thread, not the benchmark's.
 void BM_WindowGetHit(benchmark::State& state) {

@@ -190,13 +190,13 @@ Schedule spike_storm() {
   return s;
 }
 
-/// Repeated corruption detections trip the circuit breaker open; gets
-/// are served pass-through (direct, cache untouched) until it recloses.
-Schedule breaker_trip() {
+/// Heavy bit rot under per-hit verification: every epoch rots the cached
+/// payloads, and every hit re-checksums its entry, so each corruption is
+/// detected and healed from the origin before a byte reaches the caller.
+Schedule bitrot_per_hit_verify() {
   Schedule s = base(109, Mode::kAlwaysCache);
   s.plan.corrupt_storage(0.05);
   s.verify_every_n = 1;
-  s.breaker_failure_threshold = 3;
   for (int round = 0; round < 10; ++round) {
     s.steps.push_back(get(1, 0, 256));
     s.steps.push_back(get(1, 512, 256));
@@ -270,7 +270,7 @@ const std::vector<CorpusEntry>& corpus() {
       {"partial_hit_chain", &partial_hit_chain},
       {"revive_cycle", &revive_cycle},
       {"spike_storm", &spike_storm},
-      {"breaker_trip", &breaker_trip},
+      {"bitrot_per_hit_verify", &bitrot_per_hit_verify},
       {"transparent_epoch_churn", &transparent_epoch_churn},
       {"crash_restart_wipe", &crash_restart_wipe},
       {"crash_inflight_epoch", &crash_inflight_epoch},

@@ -56,8 +56,6 @@ Schedule generate(std::uint64_t seed) {
   s.verify_every_n = rng.bounded(3) == 0 ? 1 + rng.bounded(4) : 0;
   s.scrub_entries_per_epoch = rng.bounded(3) == 0 ? 4 + rng.bounded(12) : 0;
   s.shadow_verify_every_n = rng.bounded(4) == 0 ? 1 + rng.bounded(8) : 0;
-  s.breaker_failure_threshold =
-      rng.bounded(4) == 0 ? 3 + static_cast<int>(rng.bounded(5)) : 0;
 
   // --- fault plan ---
   fault::Plan& plan = s.plan;

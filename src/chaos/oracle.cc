@@ -19,52 +19,6 @@ std::string op_at(const char* what, std::size_t step, int target,
   return buf;
 }
 
-/// Counters that must never decrease, with their names for messages.
-struct MonoField {
-  std::uint64_t Stats::* field;
-  const char* name;
-};
-constexpr MonoField kMonotone[] = {
-    {&Stats::total_gets, "total_gets"},
-    {&Stats::hits_full, "hits_full"},
-    {&Stats::hits_pending, "hits_pending"},
-    {&Stats::hits_partial, "hits_partial"},
-    {&Stats::direct, "direct"},
-    {&Stats::conflicting, "conflicting"},
-    {&Stats::capacity, "capacity"},
-    {&Stats::failing, "failing"},
-    {&Stats::failed_index, "failed_index"},
-    {&Stats::failed_capacity, "failed_capacity"},
-    {&Stats::evictions, "evictions"},
-    {&Stats::invalidations, "invalidations"},
-    {&Stats::adjustments, "adjustments"},
-    {&Stats::checksum_verifications, "checksum_verifications"},
-    {&Stats::corruption_detected, "corruption_detected"},
-    {&Stats::self_heals, "self_heals"},
-    {&Stats::shadow_verifications, "shadow_verifications"},
-    {&Stats::shadow_mismatches, "shadow_mismatches"},
-    {&Stats::put_invalidations, "put_invalidations"},
-    {&Stats::stale_puts_injected, "stale_puts_injected"},
-    {&Stats::storage_bitflips, "storage_bitflips"},
-    {&Stats::breaker_trips, "breaker_trips"},
-    {&Stats::breaker_recloses, "breaker_recloses"},
-    {&Stats::breaker_passthrough_gets, "breaker_passthrough_gets"},
-    {&Stats::bytes_from_cache, "bytes_from_cache"},
-    {&Stats::bytes_from_network, "bytes_from_network"},
-    {&Stats::injected_faults, "injected_faults"},
-    {&Stats::retries, "retries"},
-    {&Stats::retry_giveups, "retry_giveups"},
-    {&Stats::fallback_hits, "fallback_hits"},
-    {&Stats::health_suspects, "health_suspects"},
-    {&Stats::health_quarantines, "health_quarantines"},
-    {&Stats::health_probes, "health_probes"},
-    {&Stats::health_recoveries, "health_recoveries"},
-    {&Stats::fast_fails, "fast_fails"},
-    {&Stats::degraded_hits, "degraded_hits"},
-    {&Stats::degraded_expired, "degraded_expired"},
-    {&Stats::degraded_corrupt_drops, "degraded_corrupt_drops"},
-};
-
 }  // namespace
 
 Oracle::Oracle(const Schedule& s) : s_(s) {
@@ -222,7 +176,8 @@ void Oracle::check_stats(const Stats& st) {
     fail(msg);
   }
   if (have_prev_) {
-    for (const MonoField& m : kMonotone) {
+    // Every Stats counter is cumulative: none may ever decrease.
+    for (const StatField& m : kStatFields) {
       if (st.*(m.field) < prev_.*(m.field)) {
         char msg[160];
         std::snprintf(msg, sizeof msg,

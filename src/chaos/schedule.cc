@@ -79,7 +79,6 @@ Config Schedule::config() const {
   c.verify_every_n = verify_every_n;
   c.scrub_entries_per_epoch = scrub_entries_per_epoch;
   c.shadow_verify_every_n = shadow_verify_every_n;
-  c.breaker_failure_threshold = breaker_failure_threshold;
   c.seed = seed ^ 0xc4a05ca0c4a05ull;
   return c;
 }
@@ -97,7 +96,6 @@ bool operator==(const Schedule& a, const Schedule& b) {
          a.verify_every_n == b.verify_every_n &&
          a.scrub_entries_per_epoch == b.scrub_entries_per_epoch &&
          a.shadow_verify_every_n == b.shadow_verify_every_n &&
-         a.breaker_failure_threshold == b.breaker_failure_threshold &&
          a.plan == b.plan && a.steps == b.steps;
 }
 
@@ -119,8 +117,6 @@ std::string Schedule::to_json() const {
   root.set("verify_every_n", json::Value::number(verify_every_n));
   root.set("scrub_entries_per_epoch", json::Value::number(scrub_entries_per_epoch));
   root.set("shadow_verify_every_n", json::Value::number(shadow_verify_every_n));
-  root.set("breaker_failure_threshold",
-           json::Value::number(breaker_failure_threshold));
   root.set("plan", json::Value::parse(plan.to_json()));
   json::Value arr = json::Value::array();
   for (const Step& st : steps) {
@@ -160,8 +156,6 @@ Schedule Schedule::from_json(const std::string& text) {
       root.get_u64("scrub_entries_per_epoch", s.scrub_entries_per_epoch);
   s.shadow_verify_every_n =
       root.get_u64("shadow_verify_every_n", s.shadow_verify_every_n);
-  s.breaker_failure_threshold =
-      root.get_int("breaker_failure_threshold", s.breaker_failure_threshold);
   if (const json::Value* p = root.find("plan")) {
     s.plan = fault::Plan::from_json(p->dump());
   }

@@ -69,7 +69,6 @@ struct Schedule {
   std::uint64_t verify_every_n = 0;
   std::uint64_t scrub_entries_per_epoch = 0;
   std::uint64_t shadow_verify_every_n = 0;
-  int breaker_failure_threshold = 0;
 
   // --- perturbations ---
   fault::Plan plan;

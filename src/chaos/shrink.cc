@@ -77,7 +77,6 @@ ShrinkResult shrink(const Schedule& input, const FailFn& still_fails) {
         c.max_retries = 0;
         c.epoch_retry_budget_us = 0.0;
       },
-      [](Schedule& c) { c.breaker_failure_threshold = 0; },
       [](Schedule& c) { c.health_failure_threshold = 0; },
       [](Schedule& c) {
         c.degraded_reads = false;

@@ -23,7 +23,6 @@
 #pragma once
 
 #include "clampi/adaptive.h"   // IWYU pragma: export
-#include "clampi/breaker.h"    // IWYU pragma: export
 #include "clampi/cache.h"      // IWYU pragma: export
 #include "clampi/checksum.h"   // IWYU pragma: export
 #include "clampi/config.h"     // IWYU pragma: export

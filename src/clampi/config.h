@@ -154,7 +154,7 @@ struct Config {
   /// origin). 0 = unbounded.
   double degraded_max_staleness_us = 0.0;
 
-  // --- integrity guard (checksums / scrubbing / self-healing / breaker;
+  // --- integrity guard (checksums / scrubbing / self-healing;
   // docs/INTEGRITY.md) ---
   /// Verify the per-entry checksum on every Nth hit against a CACHED
   /// entry (0 = never, the Release default; tests turn it on). A mismatch
@@ -170,18 +170,9 @@ struct Config {
   /// (e.g. an invalidation that was skipped). 0 = off; costs a network
   /// round-trip per sampled hit, so leave it off outside tests.
   std::uint64_t shadow_verify_every_n = 0;
-  /// Circuit breaker: corruption detections + retry give-ups within
-  /// `breaker_window_us` that trip the window to pass-through mode
-  /// (closed -> open). 0 (default) disables the breaker entirely.
-  int breaker_failure_threshold = 0;
-  double breaker_window_us = 10000.0;  ///< sliding virtual-time failure window
-  double breaker_open_us = 5000.0;     ///< dwell in open before half-open probing
-  int breaker_probe_every_n = 8;       ///< half-open: 1 of n gets probes the cache
-  int breaker_halfopen_successes = 4;  ///< consecutive healthy probes to reclose
 
   // --- instrumentation ---
   bool collect_phase_timings = false;  ///< real-time phase breakdown (Fig. 7)
-  bool trace_adaptation = false;       ///< print every adaptive resize to stderr
 
   std::uint64_t seed = 0x5eedc1a3ca11edull;  ///< hash functions + sampling
 };

@@ -1,10 +1,9 @@
 // Per-target health tracking for a caching-enabled window.
 //
 // The resilience layer (docs/FAULTS.md) gives a window retries, backoff
-// and cache-fallback, but PR 1 accounted for them *globally*: one
-// epoch-wide backoff pool and one circuit breaker for the whole window,
-// so a single dead target could starve retries for healthy ones. This
-// subsystem makes failure handling per-target:
+// and cache-fallback. Accounted *globally* — one epoch-wide backoff pool
+// for the whole window — a single dead target could starve retries for
+// healthy ones. This subsystem makes failure handling per-target:
 //
 //   - a virtual-time EWMA failure detector (phi-accrual flavoured: the
 //     suspicion score decays exponentially with elapsed virtual time and

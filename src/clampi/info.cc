@@ -130,16 +130,6 @@ Config config_from_info(const Info& info, Config cfg) {
       cfg.scrub_entries_per_epoch = parse_u64(key, value);
     } else if (key == "clampi_shadow_verify_every_n") {
       cfg.shadow_verify_every_n = parse_u64(key, value);
-    } else if (key == "clampi_breaker_failure_threshold") {
-      cfg.breaker_failure_threshold = static_cast<int>(parse_u64(key, value));
-    } else if (key == "clampi_breaker_window_us") {
-      cfg.breaker_window_us = parse_f64(key, value);
-    } else if (key == "clampi_breaker_open_us") {
-      cfg.breaker_open_us = parse_f64(key, value);
-    } else if (key == "clampi_breaker_probe_every_n") {
-      cfg.breaker_probe_every_n = static_cast<int>(parse_u64(key, value));
-    } else if (key == "clampi_breaker_halfopen_successes") {
-      cfg.breaker_halfopen_successes = static_cast<int>(parse_u64(key, value));
     } else if (key == "clampi_op_deadline_us") {
       cfg.op_deadline_us = parse_f64(key, value);
     } else if (key == "clampi_load_shedding") {
@@ -165,63 +155,9 @@ Config config_from_info(const Info& info, Config cfg) {
 
 Info stats_to_info(const Stats& s) {
   Info out;
-  const auto put = [&out](const char* key, std::uint64_t v) {
-    out.emplace(std::string("clampi_stat_") + key, std::to_string(v));
-  };
-  put("total_gets", s.total_gets);
-  put("hits_full", s.hits_full);
-  put("hits_pending", s.hits_pending);
-  put("hits_partial", s.hits_partial);
-  put("direct", s.direct);
-  put("conflicting", s.conflicting);
-  put("capacity", s.capacity);
-  put("failing", s.failing);
-  put("failed_index", s.failed_index);
-  put("failed_capacity", s.failed_capacity);
-  put("evictions", s.evictions);
-  put("eviction_rounds", s.eviction_rounds);
-  put("visited_slots", s.visited_slots);
-  put("visited_nonempty", s.visited_nonempty);
-  put("invalidations", s.invalidations);
-  put("adjustments", s.adjustments);
-  put("index_probes", s.index_probes);
-  put("index_tag_false_positives", s.index_tag_false_positives);
-  put("index_kick_steps", s.index_kick_steps);
-  put("storage_fastbin_allocs", s.storage_fastbin_allocs);
-  put("storage_tree_allocs", s.storage_tree_allocs);
-  put("storage_pool_reuses", s.storage_pool_reuses);
-  put("checksum_verifications", s.checksum_verifications);
-  put("corruption_detected", s.corruption_detected);
-  put("self_heals", s.self_heals);
-  put("scrub_entries_scanned", s.scrub_entries_scanned);
-  put("scrub_corruptions", s.scrub_corruptions);
-  put("shadow_verifications", s.shadow_verifications);
-  put("shadow_mismatches", s.shadow_mismatches);
-  put("put_invalidations", s.put_invalidations);
-  put("stale_puts_injected", s.stale_puts_injected);
-  put("storage_bitflips", s.storage_bitflips);
-  put("breaker_trips", s.breaker_trips);
-  put("breaker_recloses", s.breaker_recloses);
-  put("breaker_passthrough_gets", s.breaker_passthrough_gets);
-  put("bytes_from_cache", s.bytes_from_cache);
-  put("bytes_from_network", s.bytes_from_network);
-  put("injected_faults", s.injected_faults);
-  put("retries", s.retries);
-  put("retry_giveups", s.retry_giveups);
-  put("fallback_hits", s.fallback_hits);
-  put("health_suspects", s.health_suspects);
-  put("health_quarantines", s.health_quarantines);
-  put("health_probes", s.health_probes);
-  put("health_recoveries", s.health_recoveries);
-  put("fast_fails", s.fast_fails);
-  put("degraded_hits", s.degraded_hits);
-  put("degraded_expired", s.degraded_expired);
-  put("degraded_corrupt_drops", s.degraded_corrupt_drops);
-  put("put_invalidation_ops", s.put_invalidation_ops);
-  put("deadline_misses", s.deadline_misses);
-  put("ops_shed", s.ops_shed);
-  put("slow_observations", s.slow_observations);
-  put("crash_invalidations", s.crash_invalidations);
+  for (const StatField& f : kStatFields) {
+    out.emplace(std::string("clampi_stat_") + f.name, std::to_string(s.*f.field));
+  }
   return out;
 }
 
@@ -252,19 +188,6 @@ void validate_config(const Config& cfg) {
                  "config: retry_jitter must be in [0, 1)");
   CLAMPI_REQUIRE(cfg.epoch_retry_budget_us >= 0.0,
                  "config: negative epoch_retry_budget_us");
-  CLAMPI_REQUIRE(cfg.breaker_failure_threshold >= 0,
-                 "config: breaker_failure_threshold must be >= 0");
-  if (cfg.breaker_failure_threshold > 0) {
-    // The remaining breaker knobs only matter when the breaker exists; a
-    // disabled breaker tolerates any leftover values.
-    CLAMPI_REQUIRE(cfg.breaker_window_us > 0.0,
-                   "config: breaker_window_us must be > 0");
-    CLAMPI_REQUIRE(cfg.breaker_open_us > 0.0, "config: breaker_open_us must be > 0");
-    CLAMPI_REQUIRE(cfg.breaker_probe_every_n >= 1,
-                   "config: breaker_probe_every_n must be >= 1");
-    CLAMPI_REQUIRE(cfg.breaker_halfopen_successes >= 1,
-                   "config: breaker_halfopen_successes must be >= 1");
-  }
   CLAMPI_REQUIRE(cfg.health_failure_threshold >= 0,
                  "config: health_failure_threshold must be >= 0");
   if (cfg.health_failure_threshold > 0) {

@@ -16,10 +16,10 @@
 // drains in kv::Store) is the lowest priority: it is shed entirely
 // whenever the fraction is below 1, i.e. at the first sign of overload.
 //
-// The controller complements the circuit breaker rather than duplicating
-// it: the breaker routes gets *around a failing cache* (integrity
-// failures), the shedder refuses gets *entirely* when the network cannot
-// meet deadlines — different signal, different remedy.
+// The controller complements per-target health rather than duplicating
+// it: health quarantines *one failing target* (its ops fast-fail), the
+// shedder refuses gets *window-wide* when the network cannot meet
+// deadlines — different signal, different remedy.
 #pragma once
 
 #include <algorithm>

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 
 #include "clampi/config.h"
 
@@ -47,7 +48,7 @@ struct Stats {
   std::uint64_t storage_tree_allocs = 0;       ///< allocations served by the AVL tree
   std::uint64_t storage_pool_reuses = 0;       ///< Region descriptors recycled from the pool
 
-  // --- integrity guard (checksums / scrubbing / breaker; docs/INTEGRITY.md) ---
+  // --- integrity guard (checksums / scrubbing; docs/INTEGRITY.md) ---
   std::uint64_t checksum_verifications = 0;  ///< sampled hit-time verifications
   std::uint64_t corruption_detected = 0;     ///< checksum mismatches (hit or scrub)
   std::uint64_t self_heals = 0;       ///< corrupt/stale hits transparently re-served
@@ -60,9 +61,6 @@ struct Stats {
                                              ///< dropped at least one cached entry
   std::uint64_t stale_puts_injected = 0;     ///< puts whose invalidation was skipped
   std::uint64_t storage_bitflips = 0;        ///< injected bit flips in S_w
-  std::uint64_t breaker_trips = 0;           ///< closed/half-open -> open
-  std::uint64_t breaker_recloses = 0;        ///< half-open -> closed
-  std::uint64_t breaker_passthrough_gets = 0;///< gets served direct while tripped
 
   // --- volume ---
   std::uint64_t bytes_from_cache = 0;
@@ -124,65 +122,80 @@ struct Stats {
   }
 
   /// Per-field difference (this - base); used for adaptation windows.
-  Stats delta_since(const Stats& base) const {
-    Stats d;
-    d.total_gets = total_gets - base.total_gets;
-    d.hits_full = hits_full - base.hits_full;
-    d.hits_pending = hits_pending - base.hits_pending;
-    d.hits_partial = hits_partial - base.hits_partial;
-    d.direct = direct - base.direct;
-    d.conflicting = conflicting - base.conflicting;
-    d.capacity = capacity - base.capacity;
-    d.failing = failing - base.failing;
-    d.failed_index = failed_index - base.failed_index;
-    d.failed_capacity = failed_capacity - base.failed_capacity;
-    d.evictions = evictions - base.evictions;
-    d.eviction_rounds = eviction_rounds - base.eviction_rounds;
-    d.visited_slots = visited_slots - base.visited_slots;
-    d.visited_nonempty = visited_nonempty - base.visited_nonempty;
-    d.invalidations = invalidations - base.invalidations;
-    d.adjustments = adjustments - base.adjustments;
-    d.index_probes = index_probes - base.index_probes;
-    d.index_tag_false_positives = index_tag_false_positives - base.index_tag_false_positives;
-    d.index_kick_steps = index_kick_steps - base.index_kick_steps;
-    d.storage_fastbin_allocs = storage_fastbin_allocs - base.storage_fastbin_allocs;
-    d.storage_tree_allocs = storage_tree_allocs - base.storage_tree_allocs;
-    d.storage_pool_reuses = storage_pool_reuses - base.storage_pool_reuses;
-    d.checksum_verifications = checksum_verifications - base.checksum_verifications;
-    d.corruption_detected = corruption_detected - base.corruption_detected;
-    d.self_heals = self_heals - base.self_heals;
-    d.scrub_entries_scanned = scrub_entries_scanned - base.scrub_entries_scanned;
-    d.scrub_corruptions = scrub_corruptions - base.scrub_corruptions;
-    d.shadow_verifications = shadow_verifications - base.shadow_verifications;
-    d.shadow_mismatches = shadow_mismatches - base.shadow_mismatches;
-    d.put_invalidations = put_invalidations - base.put_invalidations;
-    d.stale_puts_injected = stale_puts_injected - base.stale_puts_injected;
-    d.storage_bitflips = storage_bitflips - base.storage_bitflips;
-    d.breaker_trips = breaker_trips - base.breaker_trips;
-    d.breaker_recloses = breaker_recloses - base.breaker_recloses;
-    d.breaker_passthrough_gets = breaker_passthrough_gets - base.breaker_passthrough_gets;
-    d.bytes_from_cache = bytes_from_cache - base.bytes_from_cache;
-    d.bytes_from_network = bytes_from_network - base.bytes_from_network;
-    d.injected_faults = injected_faults - base.injected_faults;
-    d.retries = retries - base.retries;
-    d.retry_giveups = retry_giveups - base.retry_giveups;
-    d.fallback_hits = fallback_hits - base.fallback_hits;
-    d.health_suspects = health_suspects - base.health_suspects;
-    d.health_quarantines = health_quarantines - base.health_quarantines;
-    d.health_probes = health_probes - base.health_probes;
-    d.health_recoveries = health_recoveries - base.health_recoveries;
-    d.fast_fails = fast_fails - base.fast_fails;
-    d.degraded_hits = degraded_hits - base.degraded_hits;
-    d.degraded_expired = degraded_expired - base.degraded_expired;
-    d.degraded_corrupt_drops = degraded_corrupt_drops - base.degraded_corrupt_drops;
-    d.put_invalidation_ops = put_invalidation_ops - base.put_invalidation_ops;
-    d.deadline_misses = deadline_misses - base.deadline_misses;
-    d.ops_shed = ops_shed - base.ops_shed;
-    d.slow_observations = slow_observations - base.slow_observations;
-    d.crash_invalidations = crash_invalidations - base.crash_invalidations;
-    return d;
-  }
+  Stats delta_since(const Stats& base) const;
 };
+
+/// One Stats counter and its stable name (the `clampi_stat_<name>` info
+/// key and the chaos oracle's monotonicity messages).
+struct StatField {
+  const char* name;
+  std::uint64_t Stats::* field;
+};
+
+/// Every Stats counter, in declaration order. delta_since, stats_to_info
+/// and the chaos oracle iterate this list, so a counter is added or
+/// removed here and in the struct, nowhere else.
+inline constexpr StatField kStatFields[] = {
+    {"total_gets", &Stats::total_gets},
+    {"hits_full", &Stats::hits_full},
+    {"hits_pending", &Stats::hits_pending},
+    {"hits_partial", &Stats::hits_partial},
+    {"direct", &Stats::direct},
+    {"conflicting", &Stats::conflicting},
+    {"capacity", &Stats::capacity},
+    {"failing", &Stats::failing},
+    {"failed_index", &Stats::failed_index},
+    {"failed_capacity", &Stats::failed_capacity},
+    {"evictions", &Stats::evictions},
+    {"eviction_rounds", &Stats::eviction_rounds},
+    {"visited_slots", &Stats::visited_slots},
+    {"visited_nonempty", &Stats::visited_nonempty},
+    {"invalidations", &Stats::invalidations},
+    {"adjustments", &Stats::adjustments},
+    {"index_probes", &Stats::index_probes},
+    {"index_tag_false_positives", &Stats::index_tag_false_positives},
+    {"index_kick_steps", &Stats::index_kick_steps},
+    {"storage_fastbin_allocs", &Stats::storage_fastbin_allocs},
+    {"storage_tree_allocs", &Stats::storage_tree_allocs},
+    {"storage_pool_reuses", &Stats::storage_pool_reuses},
+    {"checksum_verifications", &Stats::checksum_verifications},
+    {"corruption_detected", &Stats::corruption_detected},
+    {"self_heals", &Stats::self_heals},
+    {"scrub_entries_scanned", &Stats::scrub_entries_scanned},
+    {"scrub_corruptions", &Stats::scrub_corruptions},
+    {"shadow_verifications", &Stats::shadow_verifications},
+    {"shadow_mismatches", &Stats::shadow_mismatches},
+    {"put_invalidations", &Stats::put_invalidations},
+    {"put_invalidation_ops", &Stats::put_invalidation_ops},
+    {"stale_puts_injected", &Stats::stale_puts_injected},
+    {"storage_bitflips", &Stats::storage_bitflips},
+    {"bytes_from_cache", &Stats::bytes_from_cache},
+    {"bytes_from_network", &Stats::bytes_from_network},
+    {"injected_faults", &Stats::injected_faults},
+    {"retries", &Stats::retries},
+    {"retry_giveups", &Stats::retry_giveups},
+    {"fallback_hits", &Stats::fallback_hits},
+    {"health_suspects", &Stats::health_suspects},
+    {"health_quarantines", &Stats::health_quarantines},
+    {"health_probes", &Stats::health_probes},
+    {"health_recoveries", &Stats::health_recoveries},
+    {"fast_fails", &Stats::fast_fails},
+    {"degraded_hits", &Stats::degraded_hits},
+    {"degraded_expired", &Stats::degraded_expired},
+    {"degraded_corrupt_drops", &Stats::degraded_corrupt_drops},
+    {"deadline_misses", &Stats::deadline_misses},
+    {"ops_shed", &Stats::ops_shed},
+    {"slow_observations", &Stats::slow_observations},
+    {"crash_invalidations", &Stats::crash_invalidations},
+};
+static_assert(sizeof(Stats) == std::size(kStatFields) * sizeof(std::uint64_t),
+              "every Stats counter must be listed in kStatFields");
+
+inline Stats Stats::delta_since(const Stats& base) const {
+  Stats d;
+  for (const StatField& f : kStatFields) d.*f.field = this->*f.field - base.*f.field;
+  return d;
+}
 
 /// Real-time cost breakdown of the most recent get_c, in nanoseconds
 /// (populated when Config::collect_phase_timings is set; Fig. 7).

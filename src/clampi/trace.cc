@@ -67,9 +67,6 @@ void Trace::save(std::ostream& os) const {
       case Event::Kind::kCorruption:
         os << "c " << e.target << ' ' << e.disp << ' ' << e.bytes << '\n';
         break;
-      case Event::Kind::kBreaker:
-        os << "b " << e.target << '\n';
-        break;
       case Event::Kind::kHealth:
         os << "h " << e.target << ' ' << e.disp << '\n';
         break;
@@ -114,10 +111,6 @@ Trace Trace::load(std::istream& is) {
       case 'c':
         e.kind = Event::Kind::kCorruption;
         ls >> e.target >> e.disp >> e.bytes;
-        break;
-      case 'b':
-        e.kind = Event::Kind::kBreaker;
-        ls >> e.target;
         break;
       case 'h':
         e.kind = Event::Kind::kHealth;
@@ -179,7 +172,6 @@ Stats replay_core(const Trace& t, CacheCore& core) {
       case Event::Kind::kFault:
       case Event::Kind::kRetry:
       case Event::Kind::kCorruption:
-      case Event::Kind::kBreaker:
       case Event::Kind::kHealth:
         break;  // annotations: no cache effect
     }
@@ -208,7 +200,6 @@ double replay_window(const Trace& t, CachedWindow& win) {
       case Event::Kind::kFault:
       case Event::Kind::kRetry:
       case Event::Kind::kCorruption:
-      case Event::Kind::kBreaker:
       case Event::Kind::kHealth:
         break;  // annotations: the installed injector (if any) re-faults
     }

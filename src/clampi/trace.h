@@ -16,12 +16,10 @@
 //   x <target> <disp> <bytes>     injected fault observed (annotation)
 //   r <target> <attempt> <backoff_ns>  retry after a transient fault
 //   c <target> <disp> <bytes>     corruption/staleness detected and healed
-//   b <state>                     breaker transition (0 closed, 1 open,
-//                                 2 half-open)
 //   h <target> <state>            per-target health transition (0 healthy,
 //                                 1 suspect, 2 quarantined, 3 probing)
 //
-// The x/r/c/b/h lines are annotations emitted by the resilience and
+// The x/r/c/h lines are annotations emitted by the resilience and
 // integrity layers: replay skips them (the injector, if any, re-creates
 // faults deterministically), but they make post-mortem analysis of a
 // faulty run possible.
@@ -47,11 +45,10 @@ struct Event {
     kFault,
     kRetry,
     kCorruption,
-    kBreaker,
     kHealth,
   };
   Kind kind = Kind::kGet;
-  std::int32_t target = 0;  ///< kBreaker: the new state; kCorruption: -1 = scrub
+  std::int32_t target = 0;  ///< kCorruption: -1 = scrub
   std::uint64_t disp = 0;   ///< kRetry: the attempt number (1-based);
                             ///< kHealth: the new HealthState
   std::uint64_t bytes = 0;  ///< kRetry: the backoff charged, in nanoseconds
@@ -74,9 +71,6 @@ struct Trace {
   }
   void add_corruption(int target, std::uint64_t disp, std::uint64_t bytes) {
     events.push_back({Event::Kind::kCorruption, target, disp, bytes});
-  }
-  void add_breaker(int state) {
-    events.push_back({Event::Kind::kBreaker, state, 0, 0});
   }
   void add_health(int target, int state) {
     events.push_back(

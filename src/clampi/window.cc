@@ -1,7 +1,6 @@
 #include "clampi/window.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
 #include "clampi/trace.h"
@@ -44,15 +43,6 @@ CachedWindow::CachedWindow(rmasim::Process& p, rmasim::Window win, const Config&
       tuner_(cfg),
       retry_rng_(cfg.seed ^ 0x7e7a11edbac0ffull),
       health_(health_config(cfg)) {
-  if (cfg_.breaker_failure_threshold > 0) {
-    CircuitBreaker::Config bc;
-    bc.failure_threshold = cfg_.breaker_failure_threshold;
-    bc.window_us = cfg_.breaker_window_us;
-    bc.open_us = cfg_.breaker_open_us;
-    bc.probe_every_n = cfg_.breaker_probe_every_n;
-    bc.halfopen_successes = cfg_.breaker_halfopen_successes;
-    breaker_ = std::make_unique<CircuitBreaker>(bc);
-  }
   if (cfg_.load_shedding) shedder_ = std::make_unique<LoadShedder>(shed_config(cfg_));
 }
 
@@ -97,7 +87,6 @@ void CachedWindow::issue_resilient(int target, std::size_t disp, std::size_t byt
   if (deadline_abs_ >= 0.0 && p_->now_us() >= deadline_abs_) {
     ++core_->mutable_stats().deadline_misses;
     if (shedder_ != nullptr) shedder_->on_deadline_miss(p_->now_us());
-    breaker_failure();
     fail_get(fault::FailureKind::kDeadline, target, disp, bytes);
   }
   int attempt = 0;
@@ -117,10 +106,7 @@ void CachedWindow::issue_resilient(int target, std::size_t disp, std::size_t byt
       if (!err.recoverable() || attempt >= cfg_.max_retries) {
         // Give-ups only count when a retry policy was actually in play
         // and could not help (transient fault, retries exhausted).
-        if (cfg_.max_retries > 0 && err.recoverable()) {
-          ++st.retry_giveups;
-          breaker_failure();
-        }
+        if (cfg_.max_retries > 0 && err.recoverable()) ++st.retry_giveups;
         throw;
       }
       if (health_.enabled() && health_.state(target) == HealthState::kQuarantined) {
@@ -141,7 +127,6 @@ void CachedWindow::issue_resilient(int target, std::size_t disp, std::size_t byt
       if (deadline_abs_ >= 0.0 && p_->now_us() + backoff > deadline_abs_) {
         ++st.deadline_misses;
         if (shedder_ != nullptr) shedder_->on_deadline_miss(p_->now_us());
-        breaker_failure();
         fail_get(fault::FailureKind::kDeadline, target, disp, bytes);
       }
       // The retry budget is per target per epoch: a dead target exhausting
@@ -150,7 +135,6 @@ void CachedWindow::issue_resilient(int target, std::size_t disp, std::size_t byt
       if (cfg_.epoch_retry_budget_us > 0.0 &&
           pool + backoff > cfg_.epoch_retry_budget_us) {
         ++st.retry_giveups;
-        breaker_failure();
         throw;
       }
       pool += backoff;
@@ -309,7 +293,6 @@ bool CachedWindow::try_degraded_read(void* origin, std::size_t bytes, int target
     ++st.corruption_detected;
     ++st.degraded_corrupt_drops;
     if (fault_trace_ != nullptr) fault_trace_->add_corruption(target, disp, bytes);
-    breaker_failure();
     return false;
   }
   if (degraded_on) {
@@ -359,23 +342,17 @@ TargetStatus CachedWindow::target_status(int target) const {
   return ts;
 }
 
-void CachedWindow::reset_after_crash(bool wipe_cache, bool wipe_health, bool wipe_tail) {
-  if (wipe_cache) {
-    // The engine's wipe already discarded this rank's in-flight
-    // completions, so the registered copy-ins/outs will never fire.
-    pending_.clear();
-    core_->invalidate();
-    ++epoch_;
-    epoch_open_us_ = p_->now_us();
-  }
-  if (wipe_health) {
-    health_ = HealthMonitor(health_config(cfg_));
-  }
-  if (wipe_tail) {
-    if (shedder_ != nullptr) shedder_ = std::make_unique<LoadShedder>(shed_config(cfg_));
-    extern_deadline_us_ = -1.0;
-    deadline_abs_ = -1.0;
-  }
+void CachedWindow::reset_after_crash() {
+  // The engine's wipe already discarded this rank's in-flight
+  // completions, so the registered copy-ins/outs will never fire.
+  pending_.clear();
+  core_->invalidate();
+  ++epoch_;
+  epoch_open_us_ = p_->now_us();
+  health_ = HealthMonitor(health_config(cfg_));
+  if (shedder_ != nullptr) shedder_ = std::make_unique<LoadShedder>(shed_config(cfg_));
+  extern_deadline_us_ = -1.0;
+  deadline_abs_ = -1.0;
 }
 
 void CachedWindow::health_record(int target, bool success, bool fatal) {
@@ -533,24 +510,18 @@ void CachedWindow::notify_get(int target, std::size_t disp, std::size_t bytes,
   shed_admission(target, disp, bytes);
   begin_op_deadline();
   if (cfg_.collect_phase_timings) last_phases_ = PhaseBreakdown{};
-  // 2. A tripped breaker routes the get around the cache.
-  if (breaker_says_passthrough()) {
-    fetch_payload(origin, 0, bytes, target, disp, typed);
-    notify_get(target, disp, bytes, /*degraded=*/false, /*healed=*/false);
-    return;
-  }
-  // 3. A down target may still be served from a retained entry.
+  // 2. A down target may still be served from a retained entry.
   if (try_degraded_read(origin, bytes, target, disp, sig)) {
     notify_get(target, disp, bytes, last_degraded_, /*healed=*/false);
     return;
   }
-  // 4. The cache proper.
+  // 3. The cache proper.
   const CacheCore::Result res =
       core_->access(Key{target, disp}, bytes, sig,
                     cfg_.collect_phase_timings ? &last_phases_ : nullptr,
                     typed.dtype == nullptr ? 0 : typed.dtype->footprint(typed.count));
   if (res.healed) [[unlikely]] note_heal(target, disp, bytes);
-  // 5. Serve, register copies, fetch what the cache lacks.
+  // 4. Serve, register copies, fetch what the cache lacks.
   const std::size_t pending_mark = pending_.size();
   bool served_hit = false;
   try {
@@ -559,16 +530,14 @@ void CachedWindow::notify_get(int target, std::size_t disp, std::size_t bytes,
     rollback_failed(res, pending_mark);
     throw;
   }
-  // 6. Half-open breaker probe.
-  if (!res.healed) breaker_probe_success();
-  // 7. Sampled shadow verification of full hits served from the cache.
+  // 5. Sampled shadow verification of full hits served from the cache.
   if (cfg_.shadow_verify_every_n != 0 && served_hit) [[unlikely]] {
     if (++shadow_tick_ >= cfg_.shadow_verify_every_n) {
       shadow_tick_ = 0;
       shadow_verify(origin, bytes, target, disp, typed, res.entry);
     }
   }
-  // 8. Tell the observer how the bytes in `origin` were produced.
+  // 6. Tell the observer how the bytes in `origin` were produced.
   notify_get(target, disp, bytes, /*degraded=*/false, res.healed);
 }
 
@@ -720,24 +689,7 @@ void CachedWindow::maybe_adapt() {
   if (delta.total_gets < cfg_.adapt_interval) return;
   const AdaptiveTuner::Decision d = tuner_.evaluate(
       delta, core_->index_entries(), core_->storage_bytes(), core_->free_bytes());
-  if (d.change) {
-    if (cfg_.trace_adaptation) {
-      std::fprintf(stderr,
-                   "clampi-adapt: %s |I_w| %zu->%zu |S_w| %zu->%zu "
-                   "(conf=%llu cap=%llu fail=%llu hit=%.2f free=%.2f over %llu gets)\n",
-                   d.reason, core_->index_entries(), d.index_entries,
-                   core_->storage_bytes(), d.storage_bytes,
-                   static_cast<unsigned long long>(delta.conflicting),
-                   static_cast<unsigned long long>(delta.capacity),
-                   static_cast<unsigned long long>(delta.failing),
-                   static_cast<double>(delta.hitting()) /
-                       static_cast<double>(delta.total_gets),
-                   static_cast<double>(core_->free_bytes()) /
-                       static_cast<double>(core_->storage_bytes()),
-                   static_cast<unsigned long long>(delta.total_gets));
-    }
-    core_->resize(d.index_entries, d.storage_bytes);
-  }
+  if (d.change) core_->resize(d.index_entries, d.storage_bytes);
   adapt_base_ = core_->stats();
 }
 
@@ -799,42 +751,8 @@ void CachedWindow::fence() {
 
 // --- integrity guard (docs/INTEGRITY.md) ---
 
-bool CachedWindow::breaker_says_passthrough() {
-  if (breaker_ == nullptr) [[likely]] return false;
-  const BreakerState before = breaker_->state();
-  const CircuitBreaker::Route route = breaker_->route(p_->now_us());
-  breaker_note(before);  // open -> half-open transitions surface here
-  if (route == CircuitBreaker::Route::kCache) return false;
-  ++core_->mutable_stats().breaker_passthrough_gets;
-  last_access_ = AccessType::kDirect;
-  return true;
-}
-
-void CachedWindow::breaker_failure() {
-  if (breaker_ == nullptr) return;
-  const BreakerState before = breaker_->state();
-  breaker_->record_failure(p_->now_us());
-  breaker_note(before);
-}
-
-void CachedWindow::breaker_probe_success() {
-  if (breaker_ == nullptr || breaker_->state() != BreakerState::kHalfOpen) return;
-  breaker_->record_probe_success(p_->now_us());
-  breaker_note(BreakerState::kHalfOpen);
-}
-
-void CachedWindow::breaker_note(BreakerState before) {
-  const BreakerState now = breaker_->state();
-  if (now == before) return;
-  Stats& st = core_->mutable_stats();
-  if (now == BreakerState::kOpen) ++st.breaker_trips;
-  if (now == BreakerState::kClosed) ++st.breaker_recloses;
-  if (fault_trace_ != nullptr) fault_trace_->add_breaker(static_cast<int>(now));
-}
-
 void CachedWindow::note_heal(int target, std::size_t disp, std::size_t bytes) {
   if (fault_trace_ != nullptr) fault_trace_->add_corruption(target, disp, bytes);
-  breaker_failure();
 }
 
 void CachedWindow::shadow_verify(void* origin, std::size_t bytes, int target,
@@ -851,14 +769,13 @@ void CachedWindow::shadow_verify(void* origin, std::size_t bytes, int target,
   ++st.shadow_verifications;
   if (std::memcmp(shadow_buf_.data(), origin, bytes) == 0) return;
   // Silent staleness: the cached entry no longer matches the origin window
-  // (e.g. an invalidation was skipped). Quarantine it, hand the caller the
-  // fresh bytes, and count it as a failure for the breaker.
+  // (e.g. an invalidation was skipped). Quarantine it and hand the caller
+  // the fresh bytes.
   ++st.shadow_mismatches;
   ++st.self_heals;
   core_->quarantine(entry);
   std::memcpy(origin, shadow_buf_.data(), bytes);
   if (fault_trace_ != nullptr) fault_trace_->add_corruption(target, disp, bytes);
-  breaker_failure();
 }
 
 void CachedWindow::integrity_epoch_tasks() {
@@ -879,8 +796,6 @@ void CachedWindow::integrity_epoch_tasks() {
   }
   if (cfg_.scrub_entries_per_epoch > 0) {
     const CacheCore::ScrubReport rep = core_->scrub(cfg_.scrub_entries_per_epoch);
-    for (std::size_t i = 0; i < rep.corrupted; ++i) breaker_failure();
-    if (!rep.invariants_ok) breaker_failure();
     if (rep.corrupted > 0 && fault_trace_ != nullptr) {
       // Scrub heals have no single (target, disp); log one summary event.
       fault_trace_->add_corruption(-1, 0, rep.corrupted);

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "clampi/adaptive.h"
-#include "clampi/breaker.h"
 #include "clampi/cache.h"
 #include "clampi/config.h"
 #include "clampi/health.h"
@@ -183,13 +182,12 @@ class CachedWindow {
   /// client-side state a wiped-memory crash of *this* rank destroys. The
   /// engine has already zeroed the rank's exposed window segments and
   /// discarded its in-flight completions (the runtime-level wipe); this
-  /// clears what lives in host memory above the runtime. Flags follow the
-  /// kv::StoreConfig wipe scope: the cache contents (index + storage +
-  /// pending copy bookkeeping), the per-target health machine, and the
-  /// tail-latency state (AIMD shedder + deadline overrides). Stats
-  /// deliberately survive — they model external observability, not the
-  /// crashed rank's memory.
-  void reset_after_crash(bool wipe_cache, bool wipe_health, bool wipe_tail);
+  /// clears what lives in host memory above the runtime: the cache
+  /// contents (index + storage + pending copy bookkeeping), the per-target
+  /// health machine, and the tail-latency state (AIMD shedder + deadline
+  /// overrides). Stats deliberately survive — they model external
+  /// observability, not the crashed rank's memory.
+  void reset_after_crash();
 
   // --- tail-latency robustness (docs/FAULTS.md §8) ---
   /// Override the per-op deadline with an absolute virtual-time instant:
@@ -221,16 +219,6 @@ class CachedWindow {
   /// populate the cache with bytes whose modelled arrival never came).
   void abandon_target(int target);
 
-  // --- integrity guard introspection (docs/INTEGRITY.md) ---
-  /// Breaker state; kClosed when no breaker is configured
-  /// (breaker_failure_threshold == 0).
-  BreakerState breaker_state() const {
-    return breaker_ == nullptr ? BreakerState::kClosed : breaker_->state();
-  }
-  /// The breaker itself (nullptr when disabled); exposed for tests and
-  /// the integrity sweep (time-in-open accounting).
-  const CircuitBreaker* breaker() const { return breaker_.get(); }
-
  private:
   struct PendingOp {
     enum class Kind { kCopyIn, kCopyOut } kind;
@@ -250,9 +238,8 @@ class CachedWindow {
     std::size_t count = 0;
   };
 
-  /// The get pipeline shared by both get() overloads: admission, breaker
-  /// pass-through, degraded read, cache access, result handling, breaker
-  /// probe, shadow verification, observer. `origin` receives the packed
+  /// The get pipeline shared by both get() overloads: admission, degraded
+  /// read, cache access, result handling, shadow verification, observer. `origin` receives the packed
   /// payload of `bytes` read from (target, disp).
   void get_staged(void* origin, std::size_t bytes, int target, std::size_t disp,
                   Typed typed);
@@ -336,19 +323,7 @@ class CachedWindow {
   void maybe_adapt();
 
   // --- integrity guard (docs/INTEGRITY.md) ---
-  /// Breaker routing for one get. True: the caller must serve this get
-  /// pass-through (direct network fetch, no cache involvement); the
-  /// pass-through counter and last_access_ are already updated.
-  bool breaker_says_passthrough();
-  /// Record a failure event (corruption / give-up) and mirror any state
-  /// transition into Stats and the trace.
-  void breaker_failure();
-  /// A cache-routed get completed cleanly; in half-open this counts
-  /// toward reclosing.
-  void breaker_probe_success();
-  /// Mirror a state change since `before` into Stats and the trace.
-  void breaker_note(BreakerState before);
-  /// A self-heal happened during access(): trace annotation + breaker.
+  /// A self-heal happened during access(): trace annotation.
   void note_heal(int target, std::size_t disp, std::size_t bytes);
   /// Sampled double-check of a full hit against a direct remote fetch of
   /// the same payload (catches silent staleness). Quarantines + re-serves
@@ -387,10 +362,9 @@ class CachedWindow {
   trace::Trace* fault_trace_ = nullptr;
   GetObserver get_observer_;        // chaos-oracle tap (empty = disabled)
   HealthObserver health_observer_;  // KV hinted-handoff tap (empty = disabled)
-  std::unique_ptr<CircuitBreaker> breaker_;  // null unless configured
-  std::uint64_t shadow_tick_ = 0;            // shadow_verify_every_n sampling
-  std::vector<std::byte> shadow_buf_;        // scratch for shadow fetches
-  std::unique_ptr<LoadShedder> shedder_;     // null unless load_shedding
+  std::uint64_t shadow_tick_ = 0;         // shadow_verify_every_n sampling
+  std::vector<std::byte> shadow_buf_;     // scratch for shadow fetches
+  std::unique_ptr<LoadShedder> shedder_;  // null unless load_shedding
   double extern_deadline_us_ = -1.0;  // KV-installed walk-wide deadline
   double deadline_abs_ = -1.0;        // deadline of the op in flight (< 0 = none)
   std::vector<int> crash_restarts_seen_;  // per comm-rank restarts swept

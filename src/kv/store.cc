@@ -879,15 +879,12 @@ std::byte* Store::local_slot(std::uint64_t key) {
 }
 
 void Store::wipe_volatile() {
-  win_->reset_after_crash(cfg_.wipe_cache_on_crash, cfg_.wipe_health_on_crash,
-                          cfg_.wipe_tail_on_crash);
-  if (cfg_.wipe_cache_on_crash) {
-    // Hint queues are host memory like the cache: a reboot loses them
-    // (the writes they buffered stay recoverable via anti-entropy).
-    for (auto& q : hints_) q.clear();
-    std::fill(drain_ready_.begin(), drain_ready_.end(), 0);
-  }
-  if (cfg_.wipe_tail_on_crash && !lat_est_.empty()) {
+  win_->reset_after_crash();
+  // Hint queues are host memory like the cache: a reboot loses them (the
+  // writes they buffered stay recoverable via anti-entropy).
+  for (auto& q : hints_) q.clear();
+  std::fill(drain_ready_.begin(), drain_ready_.end(), 0);
+  if (!lat_est_.empty()) {
     lat_est_.clear();
     for (int s = 0; s < cfg_.nservers; ++s) {
       lat_est_.emplace_back(cfg_.hedge_quantile, cfg_.hedge_window_us);
@@ -993,8 +990,9 @@ void Store::recover_server(int due) {
 
   // Close the gaps the checksums opened: pull each rejected record's key
   // from live peer replicas and keep the freshest image. Keys parsed out
-  // of desynced garbage locate no slot and are skipped.
-  if (!suspects.empty() && cfg_.recovery_peer_repair && cfg_.replication > 1) {
+  // of desynced garbage locate no slot and are skipped. Needs
+  // replication >= 2 to ever find a peer.
+  if (!suspects.empty() && cfg_.replication > 1) {
     std::sort(suspects.begin(), suspects.end());
     suspects.erase(std::unique(suspects.begin(), suspects.end()), suspects.end());
     int reps[kMaxReplicas];

@@ -118,15 +118,6 @@ struct StoreConfig {
   double journal_append_us = 0.5;  ///< modelled buffered-append cost
   double journal_sync_us = 5.0;    ///< modelled group-commit sync cost
   double snapshot_us = 50.0;       ///< modelled snapshot/compaction cost
-  /// Wipe scope of a crash_rank restart: which volatile client-side state
-  /// the reboot destroys (the exposed window memory and in-flight ops are
-  /// always wiped by the runtime).
-  bool wipe_cache_on_crash = true;   ///< CacheCore contents + kv hint queues
-  bool wipe_health_on_crash = true;  ///< per-target health machine
-  bool wipe_tail_on_crash = true;    ///< shedder, deadlines, hedge estimators
-  /// After replay, pull records the checksums rejected from live peer
-  /// replicas (needs replication >= 2 to ever find one).
-  bool recovery_peer_repair = true;
 };
 
 /// How a get was served (one op may touch several buckets: chain follows
@@ -404,7 +395,8 @@ class Store {
                      const std::byte* value, std::uint32_t len);
   /// Walk this server's own shard for `key`'s slot; nullptr when absent.
   std::byte* local_slot(std::uint64_t key);
-  /// Drop the volatile state a reboot destroys (per the wipe flags).
+  /// Drop the volatile state a reboot destroys: the window's cache,
+  /// health and tail state, the hint queues and the hedge estimators.
   void wipe_volatile();
   /// The full server-side recovery protocol (crash_tick's slow path).
   void recover_server(int due);

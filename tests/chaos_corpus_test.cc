@@ -65,8 +65,10 @@ TEST(ChaosCorpus, ScenariosExerciseTheirMachinery) {
   EXPECT_GT(by_name.at("stale_put_shadow_heal").stats.shadow_mismatches, 0u);
   EXPECT_GT(by_name.at("stale_put_shadow_heal").stats.self_heals, 0u);
 
-  // Bit rot under verify_every_n=1: corruption detected, never served.
-  EXPECT_GT(by_name.at("breaker_trip").stats.corruption_detected, 0u);
+  // Bit rot under verify_every_n=1: corruption detected and healed from
+  // the origin, never served.
+  EXPECT_GT(by_name.at("bitrot_per_hit_verify").stats.corruption_detected, 0u);
+  EXPECT_GT(by_name.at("bitrot_per_hit_verify").stats.self_heals, 0u);
 
   // Quarantine flapping: the health machine actually quarantined.
   EXPECT_GT(by_name.at("quarantine_flap").stats.health_quarantines, 0u);

@@ -34,7 +34,6 @@ Schedule one_of_everything() {
   s.verify_every_n = 1;
   s.scrub_entries_per_epoch = 4;
   s.shadow_verify_every_n = 1;
-  s.breaker_failure_threshold = 5;
   s.plan.fail_everywhere(0.05).kill_rank(2, 9000.0).revive_rank(2, 30000.0);
   s.steps = {
       {Step::Kind::kGet, 1, 64, 256, 0.0},

@@ -97,37 +97,6 @@ TEST(ConfigValidation, RejectsMalformedRetryPolicy) {
   EXPECT_NO_THROW(validate_config(ok));
 }
 
-TEST(ConfigValidation, RejectsMalformedBreakerKnobs) {
-  Config c;
-  c.breaker_failure_threshold = -1;
-  EXPECT_THROW(validate_config(c), util::ContractError);
-
-  // The dependent knobs are only checked once the breaker is enabled.
-  Config off;
-  off.breaker_window_us = -1.0;
-  off.breaker_open_us = 0.0;
-  off.breaker_probe_every_n = 0;
-  off.breaker_halfopen_successes = 0;
-  EXPECT_NO_THROW(validate_config(off));
-
-  Config on;
-  on.breaker_failure_threshold = 4;
-  EXPECT_NO_THROW(validate_config(on));
-  on.breaker_window_us = 0.0;
-  EXPECT_THROW(validate_config(on), util::ContractError);
-  on.breaker_window_us = 1000.0;
-  on.breaker_open_us = -1.0;
-  EXPECT_THROW(validate_config(on), util::ContractError);
-  on.breaker_open_us = 500.0;
-  on.breaker_probe_every_n = 0;
-  EXPECT_THROW(validate_config(on), util::ContractError);
-  on.breaker_probe_every_n = 4;
-  on.breaker_halfopen_successes = 0;
-  EXPECT_THROW(validate_config(on), util::ContractError);
-  on.breaker_halfopen_successes = 2;
-  EXPECT_NO_THROW(validate_config(on));
-}
-
 TEST(ConfigValidation, RejectsMalformedHealthKnobs) {
   Config c;
   c.health_failure_threshold = -2;
@@ -255,16 +224,23 @@ TEST(ConfigValidation, TailInfoKeysParse) {
   EXPECT_NO_THROW(validate_config(cfg));
 }
 
-TEST(ConfigValidation, ShardKnobRules) {
-  // The cache core is one partition per window per rank; the former
-  // sharding knob is now an unknown info key like any other.
-  try {
-    config_from_info(Info{{"clampi_cache_shards", "1"}});
-    ADD_FAILURE() << "clampi_cache_shards was accepted";
-  } catch (const util::ContractError& e) {
-    EXPECT_NE(std::string(e.what()).find("unknown info key 'clampi_cache_shards'"),
-              std::string::npos)
-        << e.what();
+TEST(ConfigValidation, RetiredKnobsAreUnknownKeys) {
+  // Retired mechanisms leave no info key behind: the cache core is one
+  // partition per window per rank (no sharding knob), and the
+  // window-global fail-open switch is gone (per-hit verification keeps
+  // rot out). Each former key is now an unknown info key like any other.
+  for (const char* key :
+       {"clampi_cache_shards", "clampi_breaker_failure_threshold",
+        "clampi_breaker_window_us", "clampi_breaker_open_us",
+        "clampi_breaker_probe_every_n", "clampi_breaker_halfopen_successes"}) {
+    try {
+      config_from_info(Info{{key, "1"}});
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const util::ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("unknown info key '") + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -294,21 +270,11 @@ TEST(ConfigValidation, HealthInfoKeysParse) {
 TEST(ConfigValidation, IntegrityInfoKeysParse) {
   const Info info{{"clampi_verify_every_n", "16"},
                   {"clampi_scrub_entries_per_epoch", "32"},
-                  {"clampi_shadow_verify_every_n", "64"},
-                  {"clampi_breaker_failure_threshold", "4"},
-                  {"clampi_breaker_window_us", "2000"},
-                  {"clampi_breaker_open_us", "750.5"},
-                  {"clampi_breaker_probe_every_n", "3"},
-                  {"clampi_breaker_halfopen_successes", "5"}};
+                  {"clampi_shadow_verify_every_n", "64"}};
   const Config cfg = config_from_info(info);
   EXPECT_EQ(cfg.verify_every_n, 16u);
   EXPECT_EQ(cfg.scrub_entries_per_epoch, 32u);
   EXPECT_EQ(cfg.shadow_verify_every_n, 64u);
-  EXPECT_EQ(cfg.breaker_failure_threshold, 4);
-  EXPECT_DOUBLE_EQ(cfg.breaker_window_us, 2000.0);
-  EXPECT_DOUBLE_EQ(cfg.breaker_open_us, 750.5);
-  EXPECT_EQ(cfg.breaker_probe_every_n, 3);
-  EXPECT_EQ(cfg.breaker_halfopen_successes, 5);
   EXPECT_NO_THROW(validate_config(cfg));
 }
 

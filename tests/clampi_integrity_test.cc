@@ -1,13 +1,12 @@
 // Integrity guard: end-to-end checksums, self-healing hits, incremental
-// scrubbing, put invalidation, shadow-verify staleness detection and the
-// pass-through circuit breaker (docs/INTEGRITY.md).
+// scrubbing, put invalidation and shadow-verify staleness detection
+// (docs/INTEGRITY.md).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
 #include <vector>
 
-#include "clampi/breaker.h"
 #include "clampi/checksum.h"
 #include "clampi/clampi.h"
 #include "datatype/datatype.h"
@@ -356,9 +355,8 @@ TEST(IntegrityWindow, StalePutCaughtByShadowVerify) {
 
 TEST(IntegrityWindow, TypedGetsReachTheGetObserver) {
   // One GetObservation per completed strided get, whichever stage served
-  // it: a miss, a hit, a degraded serve of a partitioned target, a healed
-  // hit that trips the breaker and a breaker pass-through. A get that
-  // throws is never observed.
+  // it: a miss, a hit, a degraded serve of a partitioned target and a
+  // healed hit. A get that throws is never observed.
   const double kPartFrom = 1000.0, kPartUntil = 2000.0;
   fault::Plan plan;
   plan.partition(0, 1, kPartFrom, kPartUntil);
@@ -368,9 +366,6 @@ TEST(IntegrityWindow, TypedGetsReachTheGetObserver) {
     Config ccfg = cache_cfg(Mode::kAlwaysCache);
     ccfg.degraded_reads = true;
     ccfg.verify_every_n = 1;
-    ccfg.breaker_failure_threshold = 1;  // the first heal trips it
-    ccfg.breaker_window_us = 1e6;
-    ccfg.breaker_open_us = 1e6;
     auto win = CachedWindow::allocate(p, 4096, &base, ccfg);
     fill_pattern(base, 4096, p.rank());
     p.barrier();
@@ -412,18 +407,13 @@ TEST(IntegrityWindow, TypedGetsReachTheGetObserver) {
       EXPECT_THROW(win.get(buf.data(), strided, 1, 1, 512), fault::OpFailedError);
       EXPECT_EQ(seen.size(), 3u);
 
-      // Healed again: rot in the entry is caught and re-fetched, which
-      // trips the breaker; the next get passes through it.
+      // Healed: rot in the entry is caught and re-fetched.
       p.compute_us(kPartUntil - p.now_us() + 1.0);
       const std::uint32_t id = win.core().find_cached(Key{1, 0});
       ASSERT_NE(id, kNoEntry);
       win.core().entry_data(id)[3] ^= std::byte{0x10};
       get_at(0);
       expect_last(4, AccessType::kDirect, false, true, 0);
-      ASSERT_EQ(win.breaker_state(), BreakerState::kOpen);
-      get_at(1024);
-      expect_last(5, AccessType::kDirect, false, false, 1024);
-      EXPECT_EQ(win.stats().breaker_passthrough_gets, 1u);
       EXPECT_EQ(win.stats().degraded_hits, 1u);
       win.unlock_all();
     }
@@ -497,147 +487,6 @@ TEST(IntegrityWindow, CorruptorIsDeterministicPerSeed) {
   fault::Corruptor c3 = inj.corruptor(/*rank=*/0, /*epoch=*/4);
   c3.apply(c.data(), c.size());
   EXPECT_NE(std::memcmp(a.data(), c.data(), a.size()), 0);
-}
-
-// --- circuit breaker (unit + window) ---
-
-TEST(Breaker, StateMachineTripsProbesAndRecloses) {
-  CircuitBreaker::Config bc;
-  bc.failure_threshold = 2;
-  bc.window_us = 1000.0;
-  bc.open_us = 50.0;
-  bc.probe_every_n = 2;
-  bc.halfopen_successes = 2;
-  CircuitBreaker b(bc);
-
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-  EXPECT_EQ(b.route(0.0), CircuitBreaker::Route::kCache);
-
-  b.record_failure(1.0);
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-  b.record_failure(2.0);
-  EXPECT_EQ(b.state(), BreakerState::kOpen);
-  EXPECT_EQ(b.trips(), 1u);
-  EXPECT_EQ(b.route(10.0), CircuitBreaker::Route::kPassThrough);
-
-  // Dwell elapsed: half-open, 1 of every probe_every_n gets probes.
-  EXPECT_EQ(b.route(60.0), CircuitBreaker::Route::kCache);  // probe
-  EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
-  EXPECT_EQ(b.route(61.0), CircuitBreaker::Route::kPassThrough);
-  EXPECT_EQ(b.route(62.0), CircuitBreaker::Route::kCache);  // probe
-
-  b.record_probe_success(63.0);
-  EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
-  b.record_probe_success(64.0);
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-  EXPECT_EQ(b.recloses(), 1u);
-  EXPECT_GE(b.time_in_open_us(64.0), 50.0);
-}
-
-TEST(Breaker, HalfOpenFailureRetrips) {
-  CircuitBreaker::Config bc;
-  bc.failure_threshold = 1;
-  bc.open_us = 10.0;
-  CircuitBreaker b(bc);
-  b.record_failure(0.0);
-  EXPECT_EQ(b.state(), BreakerState::kOpen);
-  EXPECT_EQ(b.route(20.0), CircuitBreaker::Route::kCache);  // half-open probe
-  b.record_failure(21.0);
-  EXPECT_EQ(b.state(), BreakerState::kOpen);
-  EXPECT_EQ(b.trips(), 2u);
-}
-
-TEST(Breaker, OldFailuresSlideOutOfTheWindow) {
-  CircuitBreaker::Config bc;
-  bc.failure_threshold = 2;
-  bc.window_us = 100.0;
-  CircuitBreaker b(bc);
-  b.record_failure(0.0);
-  b.record_failure(150.0);  // the first failure is outside the window now
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-  b.record_failure(160.0);
-  EXPECT_EQ(b.state(), BreakerState::kOpen);
-}
-
-TEST(IntegrityWindow, BreakerFailsOpenThenRecloses) {
-  Engine e(engine_cfg(2));
-  e.run([](Process& p) {
-    void* base = nullptr;
-    Config ccfg = cache_cfg(Mode::kAlwaysCache);
-    ccfg.verify_every_n = 1;
-    ccfg.breaker_failure_threshold = 2;
-    ccfg.breaker_window_us = 1e6;
-    ccfg.breaker_open_us = 100.0;
-    ccfg.breaker_probe_every_n = 1;   // every half-open get probes
-    ccfg.breaker_halfopen_successes = 2;
-    auto win = CachedWindow::allocate(p, 4096, &base, ccfg);
-    fill_pattern(base, 4096, p.rank());
-    p.barrier();
-    if (p.rank() == 0) {
-      win.lock_all();
-      std::vector<std::uint8_t> buf(64);
-      const auto cached_get = [&](std::size_t disp) {
-        win.get(buf.data(), 64, 1, disp);
-        win.flush_all();
-      };
-      cached_get(0);
-      cached_get(64);
-      ASSERT_EQ(win.breaker_state(), BreakerState::kClosed);
-
-      // Corrupt both entries behind the cache's back; the two healed hits
-      // are two failures inside the window -> the breaker trips.
-      const auto corrupt = [&](std::uint64_t disp) {
-        const std::uint32_t id = win.core().find_cached(Key{1, disp});
-        ASSERT_NE(id, kNoEntry);
-        win.core().entry_data(id)[3] ^= std::byte{0x10};
-      };
-      corrupt(0);
-      cached_get(0);  // heal #1
-      ASSERT_EQ(win.breaker_state(), BreakerState::kClosed);
-      corrupt(64);
-      cached_get(64);  // heal #2 -> trip
-      ASSERT_EQ(win.breaker_state(), BreakerState::kOpen);
-      EXPECT_EQ(win.stats().breaker_trips, 1u);
-
-      // While open, gets pass through: correct data, nothing cached.
-      win.get(buf.data(), 64, 1, 1024);
-      win.flush_all();
-      EXPECT_EQ(win.last_access(), AccessType::kDirect);
-      for (int j = 0; j < 64; ++j) {
-        ASSERT_EQ(buf[static_cast<std::size_t>(j)],
-                  pattern_at(1024 + static_cast<std::size_t>(j), 1));
-      }
-      EXPECT_EQ(win.stats().breaker_passthrough_gets, 1u);
-      EXPECT_EQ(win.core().find_cached(Key{1, 1024}), kNoEntry);
-
-      // After the open dwell, probes flow through the (healed) cache and
-      // two clean probes reclose the breaker.
-      p.compute_us(200.0);
-      cached_get(0);  // probe #1 (clean hit: the heal re-cached fresh bytes)
-      ASSERT_EQ(win.breaker_state(), BreakerState::kHalfOpen);
-      cached_get(0);  // probe #2 -> reclose
-      ASSERT_EQ(win.breaker_state(), BreakerState::kClosed);
-      EXPECT_EQ(win.stats().breaker_recloses, 1u);
-      ASSERT_NE(win.breaker(), nullptr);
-      EXPECT_GE(win.breaker()->time_in_open_us(p.now_us()), 100.0);
-      win.unlock_all();
-    }
-    p.barrier();
-    win.free_window();
-  });
-}
-
-TEST(IntegrityWindow, BreakerDisabledByDefault) {
-  Engine e(engine_cfg(2));
-  e.run([](Process& p) {
-    void* base = nullptr;
-    auto win = CachedWindow::allocate(p, 4096, &base, cache_cfg(Mode::kAlwaysCache));
-    p.barrier();
-    EXPECT_EQ(win.breaker(), nullptr);
-    EXPECT_EQ(win.breaker_state(), BreakerState::kClosed);
-    p.barrier();
-    win.free_window();
-  });
 }
 
 }  // namespace

@@ -99,8 +99,6 @@ TEST(Trace, IntegrityEventsRoundTrip) {
   t.add_get(1, 0, 64);
   t.add_corruption(1, 0, 64);        // self-healed hit on target 1
   t.add_corruption(-1, 0, 3);        // scrub summary: 3 entries quarantined
-  t.add_breaker(1);  // kOpen
-  t.add_breaker(0);  // kClosed
   t.add_flush_all();
 
   std::stringstream ss;
@@ -108,7 +106,6 @@ TEST(Trace, IntegrityEventsRoundTrip) {
   const std::string text = ss.str();
   EXPECT_NE(text.find("c 1 0 64"), std::string::npos);
   EXPECT_NE(text.find("c -1 0 3"), std::string::npos);
-  EXPECT_NE(text.find("b 1"), std::string::npos);
 
   const Trace u = Trace::load(ss);
   ASSERT_EQ(u.events.size(), t.events.size());
@@ -118,6 +115,10 @@ TEST(Trace, IntegrityEventsRoundTrip) {
     EXPECT_EQ(u.events[i].disp, t.events[i].disp);
     EXPECT_EQ(u.events[i].bytes, t.events[i].bytes);
   }
+
+  // The retired `b` (fail-open state change) annotation is an unknown tag.
+  std::stringstream old("g 1 0 64\nb 1\n");
+  EXPECT_THROW(Trace::load(old), util::ContractError);
 }
 
 TEST(Trace, ReplayCoreSkipsIntegrityAnnotations) {
@@ -125,8 +126,6 @@ TEST(Trace, ReplayCoreSkipsIntegrityAnnotations) {
   Trace annotated = sample_trace();
   annotated.events.insert(annotated.events.begin() + 1,
                           {Event::Kind::kCorruption, 1, 0, 64});
-  annotated.events.insert(annotated.events.begin() + 2,
-                          {Event::Kind::kBreaker, 1, 0, 0});
 
   Config cfg;
   cfg.index_entries = 64;
