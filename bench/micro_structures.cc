@@ -323,6 +323,46 @@ void BM_StoreLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreLoad)->UseManualTime()->Unit(benchmark::kMillisecond);
 
+// The uncached bucket-read rung under kv-read-nocache's
+// rt.wall_ns_per_net_op: one 208 B Process::get + flush at a random bucket
+// of a 70.9 MB window (340,788 buckets, a kv-read server shard) on the
+// modelled engine. Every page is written first, as the shard load does,
+// so the reads hit real pages; random reads over that much memory are
+// bound by TLB reach (docs/PERF.md "Huge pages").
+void BM_LargeWindowGet(benchmark::State& state) {
+  constexpr std::size_t kBucket = 208;
+  constexpr std::size_t kBuckets = 340788;
+  constexpr std::size_t kOffsets = std::size_t{1} << 16;
+  rmasim::Engine::Config ecfg;
+  ecfg.nranks = 2;
+  ecfg.model = std::make_shared<net::FlatModel>(2.0, 0.001);
+  ecfg.time_policy = rmasim::TimePolicy::kModeled;
+  rmasim::Engine engine(ecfg);
+  engine.run([&](rmasim::Process& p) {
+    void* base = nullptr;
+    const auto w = p.win_allocate(p.rank() == 1 ? kBuckets * kBucket : 0, &base);
+    if (p.rank() == 1) std::memset(base, 0x5a, kBuckets * kBucket);
+    p.barrier();
+    if (p.rank() == 0) {
+      util::Xoshiro256 rng(7);
+      std::vector<std::size_t> offsets(kOffsets);
+      for (auto& o : offsets) o = rng.bounded(kBuckets) * kBucket;
+      std::vector<std::byte> bucket(kBucket);
+      std::size_t i = 0;
+      p.lock_all(w);
+      for (auto _ : state) {
+        p.get(bucket.data(), kBucket, 1, offsets[i++ % kOffsets], w);
+        p.flush(1, w);
+        benchmark::DoNotOptimize(bucket.data());
+      }
+      p.unlock_all(w);
+    }
+    p.barrier();
+    p.win_free(w);
+  });
+}
+BENCHMARK(BM_LargeWindowGet);
+
 }  // namespace
 
 BENCHMARK_MAIN();

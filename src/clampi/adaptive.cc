@@ -33,14 +33,12 @@ AdaptiveTuner::Decision AdaptiveTuner::evaluate(const Stats& delta,
   if (conflict_ratio > cfg_.conflict_threshold) {
     d.index_entries = static_cast<std::size_t>(
         std::ceil(static_cast<double>(cur_index_entries) * cfg_.index_increase_factor));
-    d.reason = "grow_index";
     index_shrink_streak_ = 0;
   } else if (delta.eviction_rounds > 0 && delta.q() < cfg_.sparsity_threshold) {
     // Highly sparse index: victim-selection quality degrades (Sec. III-E1).
     if (++index_shrink_streak_ >= cfg_.shrink_patience) {
       d.index_entries = static_cast<std::size_t>(
           std::floor(static_cast<double>(cur_index_entries) / cfg_.index_decrease_factor));
-      d.reason = "shrink_index";
       index_shrink_streak_ = 0;
     }
   } else {
@@ -53,13 +51,11 @@ AdaptiveTuner::Decision AdaptiveTuner::evaluate(const Stats& delta,
   if (capacity_ratio > cfg_.capacity_threshold) {
     d.storage_bytes = static_cast<std::size_t>(
         std::ceil(static_cast<double>(cur_storage_bytes) * cfg_.memory_increase_factor));
-    d.reason = d.index_entries != cur_index_entries ? "grow_both" : "grow_memory";
     memory_shrink_streak_ = 0;
   } else if (hit_ratio > cfg_.stable_threshold && free_ratio > cfg_.free_threshold) {
     if (++memory_shrink_streak_ >= cfg_.shrink_patience) {
       d.storage_bytes = static_cast<std::size_t>(
           std::floor(static_cast<double>(cur_storage_bytes) / cfg_.memory_decrease_factor));
-      if (d.index_entries == cur_index_entries) d.reason = "shrink_memory";
       memory_shrink_streak_ = 0;
     }
   } else {

@@ -24,7 +24,6 @@ class AdaptiveTuner {
     bool change = false;
     std::size_t index_entries = 0;
     std::size_t storage_bytes = 0;
-    const char* reason = "";
   };
 
   explicit AdaptiveTuner(const Config& cfg) : cfg_(cfg) {}

@@ -12,9 +12,9 @@ constexpr std::size_t kSlabRegions = 128;
 Storage::Storage(std::size_t capacity_bytes) {
   capacity_ = util::round_up(capacity_bytes, util::kCacheLineBytes);
   CLAMPI_REQUIRE(capacity_ > 0, "storage capacity must be positive");
-  // Not zero-filled: pages are faulted in by the first copy-in, so an
+  // Mapped, not written: pages are faulted in by the first copy-in, so an
   // arena costs nothing until entries land in it (docs/PERF.md).
-  buf_ = std::make_unique_for_overwrite<std::byte[]>(capacity_);
+  buf_ = util::PageBuffer(capacity_);
   Region* r = pool_get();
   *r = Region{0, capacity_, /*free=*/true, nullptr, nullptr, kNoBin, 0};
   head_ = r;
@@ -233,7 +233,7 @@ std::size_t Storage::largest_free() const {
 void Storage::rebuild(std::size_t capacity_bytes) {
   const std::size_t cap = util::round_up(capacity_bytes, util::kCacheLineBytes);
   CLAMPI_REQUIRE(cap > 0, "storage capacity must be positive");
-  auto buf = std::make_unique_for_overwrite<std::byte[]>(cap);  // may throw; state untouched
+  util::PageBuffer buf(cap);  // may throw; state untouched
   capacity_ = cap;
   buf_ = std::move(buf);
   reset();

@@ -18,9 +18,11 @@
 // positional score) an O(1) query, and makes coalescing on eviction O(1).
 //
 // All region sizes are multiples of the CPU cache-line size to preserve
-// alignment inside S_w. The buffer is not zero-filled: a region's bytes are
-// indeterminate until the entry's copy-in writes them, and untouched pages
-// cost no memory.
+// alignment inside S_w. The buffer is a kernel-zeroed anonymous mapping
+// (util::PageBuffer), on 2 MiB pages where the kernel allows them, so the
+// TLB reaches the whole arena; nothing writes it up front, untouched pages
+// cost no memory, and a region holds no meaningful bytes until the entry's
+// copy-in writes them.
 #pragma once
 
 #include <cstddef>
@@ -32,6 +34,7 @@
 #include "util/align.h"
 #include "util/avl_tree.h"
 #include "util/error.h"
+#include "util/page_buffer.h"
 
 namespace clampi {
 
@@ -86,11 +89,11 @@ class Storage {
   /// Pointer to the data of an allocated region.
   std::byte* data(const Region* r) {
     CLAMPI_ASSERT(!r->free, "data() on a free region");
-    return buf_.get() + r->offset;
+    return buf_.data() + r->offset;
   }
   const std::byte* data(const Region* r) const {
     CLAMPI_ASSERT(!r->free, "data() on a free region");
-    return buf_.get() + r->offset;
+    return buf_.data() + r->offset;
   }
 
   std::size_t capacity() const { return capacity_; }
@@ -141,7 +144,7 @@ class Storage {
   std::size_t capacity_ = 0;
   std::size_t free_bytes_ = 0;
   std::size_t allocated_regions_ = 0;
-  std::unique_ptr<std::byte[]> buf_;
+  util::PageBuffer buf_;
   Region* head_ = nullptr;
   util::AvlTree<FreeKey, Region*> free_tree_;  ///< free regions > kMaxBinBytes
   std::vector<Region*> bins_[kNumBins];        ///< min-heaps on offset

@@ -1,11 +1,8 @@
 #include "rt/engine.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <tuple>
-
-#include "util/align.h"
 
 namespace clampi::rmasim {
 
@@ -87,15 +84,7 @@ Engine::Engine(Config cfg) : cfg_(std::move(cfg)) {
   wincreate_result_.resize(static_cast<std::size_t>(cfg_.nranks));
 }
 
-Engine::~Engine() {
-  for (auto& w : windows_) {
-    if (w == nullptr) continue;
-    for (std::size_t r = 0; r < w->base.size(); ++r) {
-      if (w->owned[r] && w->base[r] != nullptr) std::free(w->base[r]);
-      w->base[r] = nullptr;
-    }
-  }
-}
+Engine::~Engine() = default;
 
 void Engine::run(const std::function<void(Process&)>& rank_main) {
   CLAMPI_REQUIRE(!started_, "Engine::run is single-shot");
@@ -455,8 +444,8 @@ void Engine::validate_target(const WindowObj& wo, int target, std::size_t disp,
                  "RMA access outside the target window");
 }
 
-Window Engine::win_register(int rank, void* base, std::size_t bytes, bool owned,
-                            Comm comm) {
+Window Engine::win_register(int rank, void* base, std::size_t bytes,
+                            util::PageBuffer owned, Comm comm) {
   RankCtx& me = ctx(rank);
   const auto r = static_cast<std::size_t>(rank);
   {
@@ -465,7 +454,7 @@ Window Engine::win_register(int rank, void* base, std::size_t bytes, bool owned,
   }
   wincreate_base_[r] = base;
   wincreate_bytes_[r] = bytes;
-  wincreate_owned_[r] = owned;
+  wincreate_owned_[r] = std::move(owned);
   const int csize = comm_obj(comm).size();
   collective(
       me, comm.id, /*kind=*/6, nullptr, nullptr, 0,
@@ -486,7 +475,7 @@ Window Engine::win_register(int rank, void* base, std::size_t bytes, bool owned,
           const auto w = static_cast<std::size_t>(co.members[i]);
           wo->base[i] = static_cast<std::byte*>(wincreate_base_[w]);
           wo->size[i] = wincreate_bytes_[w];
-          wo->owned[i] = wincreate_owned_[w];
+          wo->owned[i] = std::move(wincreate_owned_[w]);
         }
         windows_.push_back(std::move(wo));
         // Per-rank result slots: disjoint communicators may create
@@ -506,15 +495,12 @@ Window Engine::win_register(int rank, void* base, std::size_t bytes, bool owned,
 Window Process::win_allocate(std::size_t bytes, void** base, Comm comm) {
   auto& me = engine_->ctx(rank_);
   me.clock.enter_runtime();
-  void* buf = nullptr;
-  if (bytes > 0) {
-    const std::size_t rounded = util::round_up(bytes, util::kCacheLineBytes);
-    buf = std::aligned_alloc(util::kCacheLineBytes, rounded);
-    CLAMPI_ASSERT(buf != nullptr, "window allocation failed");
-    std::memset(buf, 0, rounded);
-  }
-  const Window w = engine_->win_register(rank_, buf, bytes, /*owned=*/true, comm);
-  if (base != nullptr) *base = buf;
+  // Kernel-zeroed pages, on 2 MiB pages where the segment allows
+  // (util/page_buffer.h); nothing to memset.
+  util::PageBuffer buf(bytes);
+  std::byte* mem = buf.data();
+  const Window w = engine_->win_register(rank_, mem, bytes, std::move(buf), comm);
+  if (base != nullptr) *base = mem;
   me.clock.exit_runtime();
   return w;
 }
@@ -523,7 +509,7 @@ Window Process::win_create(void* base, std::size_t bytes, Comm comm) {
   auto& me = engine_->ctx(rank_);
   me.clock.enter_runtime();
   CLAMPI_REQUIRE(bytes == 0 || base != nullptr, "win_create with null memory");
-  const Window w = engine_->win_register(rank_, base, bytes, /*owned=*/false, comm);
+  const Window w = engine_->win_register(rank_, base, bytes, util::PageBuffer{}, comm);
   me.clock.exit_runtime();
   return w;
 }
@@ -541,7 +527,7 @@ void Process::win_free(Window w) {
       [this, w](Engine::CollectiveCtx&) {
         Engine::WindowObj& wo = *engine_->windows_[static_cast<std::size_t>(w.id)];
         for (std::size_t r = 0; r < wo.base.size(); ++r) {
-          if (wo.owned[r] && wo.base[r] != nullptr) std::free(wo.base[r]);
+          wo.owned[r] = util::PageBuffer{};
           wo.base[r] = nullptr;
         }
         wo.alive = false;

@@ -37,6 +37,7 @@
 #include "netmodel/model.h"
 #include "rt/clock.h"
 #include "util/error.h"
+#include "util/page_buffer.h"
 
 namespace clampi::rmasim {
 
@@ -354,7 +355,7 @@ class Engine {
     int comm_id = 0;
     std::vector<std::byte*> base;
     std::vector<std::size_t> size;
-    std::vector<bool> owned;  // allocated by win_allocate -> freed by us
+    std::vector<util::PageBuffer> owned;  // win_allocate'd memory (empty for win_create)
     std::vector<LockState> locks;  // per target
     std::vector<PscwState> pscw;   // per rank, as exposure target
     std::vector<std::vector<int>> started;  // per rank, as origin: targets
@@ -398,7 +399,8 @@ class Engine {
                   const std::function<double()>& cost_us);
 
   const CommObj& comm_obj(Comm c) const;
-  Window win_register(int rank, void* base, std::size_t bytes, bool owned, Comm comm);
+  Window win_register(int rank, void* base, std::size_t bytes, util::PageBuffer owned,
+                      Comm comm);
 
   // With serialize_injection: per-world-rank time at which the rank's NIC
   // becomes free again. Guarded by the baton (single running rank).
@@ -434,7 +436,7 @@ class Engine {
   // staging used by window creation collectives
   std::vector<void*> wincreate_base_;
   std::vector<std::size_t> wincreate_bytes_;
-  std::vector<bool> wincreate_owned_;
+  std::vector<util::PageBuffer> wincreate_owned_;
   std::vector<Window> wincreate_result_;
   // staging used by comm_split ((color, key) per world rank; result ids)
   std::vector<std::pair<int, int>> split_color_key_;

@@ -152,6 +152,35 @@ TEST(CrashRestart, EngineWipesWindowMemoryLazilyAtRestart) {
   });
 }
 
+TEST(CrashRestart, WipeZeroesAHugePageSegment) {
+  // A segment of 2 MiB or more sits on huge pages where the kernel allows
+  // them; the crash wipe must still zero all of it, tail included.
+  constexpr std::size_t kBytes = (std::size_t{5} << 20) + 4000;
+  fault::Plan plan;
+  plan.crash_rank(1, 5000.0, 10000.0);
+  Engine e(engine_cfg(2, std::make_shared<fault::Injector>(plan)));
+  e.run([&](Process& p) {
+    void* base = nullptr;
+    auto w = p.win_allocate(kBytes, &base);
+    std::memset(base, 0x5a, kBytes);
+    p.barrier();
+    if (p.rank() == 0) {
+      advance_to(p, 11000.0);  // past the restart instant
+      std::vector<std::uint8_t> buf(kBytes, 0xff);
+      p.lock_all(w);
+      p.get(buf.data(), kBytes, 1, 0, w);
+      p.flush(1, w);
+      p.unlock_all(w);
+      EXPECT_EQ(p.crash_wipes_applied(1), 1);
+      for (std::size_t i = 0; i < kBytes; ++i) {
+        ASSERT_EQ(buf[i], 0) << "byte " << i;
+      }
+    }
+    p.barrier();
+    p.win_free(w);
+  });
+}
+
 // --- CLaMPI: cached entries must not survive a target's restart ---
 
 TEST(CrashRestart, CachedWindowInvalidatesEntriesOfRestartedTarget) {

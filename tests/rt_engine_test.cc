@@ -1,8 +1,12 @@
 // Tests for rmasim, the simulated MPI-3 RMA runtime substrate.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -96,6 +100,68 @@ TEST(Window, AllocateExposesZeroedMemoryEverywhere) {
     p.win_free(w);
   });
 }
+
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t size_pages = 0, resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(Window, LargeSegmentReadsZeroAndFreeReleasesIt) {
+  // Window segments are kernel-zeroed mappings (util::PageBuffer): no
+  // memset, yet every byte reads back zero, and win_free unmaps them.
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  constexpr std::size_t kBytes = 64 * kMiB;
+  Engine e(flat_cfg(2));
+  e.run([](Process& p) {
+    void* base = nullptr;
+    Window w = p.win_allocate(p.rank() == 1 ? kBytes : 0, &base);
+    p.barrier();
+    if (p.rank() == 0) {
+      std::vector<unsigned char> chunk(kMiB, 0xff);
+      p.lock_all(w);
+      for (std::size_t off = 0; off < kBytes; off += kMiB) {
+        p.get(chunk.data(), kMiB, 1, off, w);
+        p.flush(1, w);
+        ASSERT_EQ(std::count(chunk.begin(), chunk.end(), 0), static_cast<std::ptrdiff_t>(kMiB))
+            << "offset " << off;
+      }
+      p.unlock_all(w);
+    }
+    p.barrier();
+    std::size_t written = 0;
+    if (p.rank() == 1) {
+      std::memset(base, 0xab, kBytes);
+      written = resident_bytes();
+    }
+    p.win_free(w);
+    if (p.rank() == 1) {
+      const std::size_t freed = resident_bytes();
+      EXPECT_GE(written - std::min(written, freed), kBytes - 4 * kMiB);
+    }
+  });
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// An mmap'd segment has no malloc redzones; the page buffer poisons the
+// slack past the requested end so an overrun is still reported.
+TEST(WindowDeathTest, ReadPastALargeSegmentIsReported) {
+  EXPECT_DEATH(
+      {
+        Engine e(flat_cfg(1));
+        e.run([](Process& p) {
+          constexpr std::size_t kBytes = (std::size_t{2} << 20) + 100;
+          void* base = nullptr;
+          Window w = p.win_allocate(kBytes, &base);
+          const volatile unsigned char* bytes = static_cast<const unsigned char*>(base);
+          (void)bytes[kBytes];
+          p.win_free(w);
+        });
+      },
+      "AddressSanitizer");
+}
+#endif
 
 TEST(Window, GetReadsRemoteData) {
   Engine e(flat_cfg(4));
